@@ -8,8 +8,9 @@ from an environment map.
 from .bounds import (CrbField, CrbReport, GridSpec, crb_grid, crb_report,
                      fisher, rmse_crb, rmse_crb_distance_only)
 from .errors import (AllTrialsFailed, ConfigError, DegenerateGeometry,
-                     ExperimentError, InsufficientPaths, MmlocError,
-                     SingularCovariance, SingularFisher, UndefinedAngle)
+                     EmptyResult, ExperimentError, InsufficientPaths,
+                     MmlocError, SingularCovariance, SingularFisher,
+                     UndefinedAngle)
 from .estimator import (EstimateReport, GapfConfig, ParticleSet,
                         check_sufficiency, default_search_box, estimate,
                         gapf_iterate, grid_init, initial_particles,
@@ -21,8 +22,8 @@ from .harness import (EXAMPLE_UES, McResult, RemMap, SCENARIO_NAMES,
                       SweepResult, beamwidth_sweep, build_rem_map,
                       cdf_curve, delta_field, grid_preset, mc_rmse,
                       rmse_from_estimates, scenario_preset, subset_indices,
-                      trajectory_preset, write_cdf_csv, write_field_csv,
-                      write_remmap_csv, write_sweep_csv)
+                      trajectory_preset, trial_seeds, write_cdf_csv,
+                      write_field_csv, write_remmap_csv, write_sweep_csv)
 from .likelihood import (LikelihoodEngine, jacobian, jacobian_fd,
                          log_likelihood, residual)
 from .measurement import (Mode, NoiseProfile, Observation, ParamVector,

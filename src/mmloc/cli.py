@@ -87,8 +87,8 @@ class _Resolver:
         self.modes = self._modes()
         self.ue = self._ue()
         self.seed = self._int("seed", 0, minimum=0)
-        w = self._int("workers", 0, minimum=0)
-        self.workers = w if w > 0 else (os.cpu_count() or 1)
+        # echoed as configured: 0 (all cores) stays 0 in the summary
+        self.workers = self._int("workers", 0, minimum=0)
         self.output_dir = self._output_dir()
         self.estimator = self._estimator()
         self.grid = self._grid()
@@ -319,6 +319,12 @@ class _Resolver:
             self.errs.append(f"ue: no sufficient path set at "
                              f"({self.ue.x}, {self.ue.y}): {e}")
 
+    @property
+    def n_workers(self) -> int:
+        """Worker processes to run with: the configured cap, or one per
+        core when the cap is 0."""
+        return self.workers or os.cpu_count() or 1
+
     # -- outputs -------------------------------------------------------------
 
     def raise_if_invalid(self) -> "_Resolver":
@@ -416,7 +422,7 @@ def _cmd_estimate(res: _Resolver, out_dir: str) -> dict:
     for mode in res.modes:
         paths = enumerate_paths(sc, ue)
         truth = ParamVector.truth_from_paths(ue, paths, Mode.NOREM)
-        synth_ss, est_seed = H._trial_seeds(res.seed, 0)
+        synth_ss, est_seed = H.trial_seeds(res.seed, 0)
         if noiseless:
             obs = noiseless_observation(truth, paths, sc)
         else:
@@ -456,7 +462,7 @@ def _cmd_mc(res: _Resolver, out_dir: str) -> dict:
     for mode in res.modes:
         r = H.mc_rmse(res.scenario, res.ue, mode, res.estimator,
                       res.experiment["n_trials"], res.seed,
-                      workers=res.workers, subset=res.experiment["subset"],
+                      workers=res.n_workers, subset=res.experiment["subset"],
                       noiseless=res.experiment["noiseless"])
         rows.append([mode.value, _fmt(r.rmse_est), _fmt(r.rmse_crb),
                      str(r.n_trials), str(r.failures), str(r.seed)])
@@ -479,7 +485,7 @@ def _cmd_sweep(res: _Resolver, out_dir: str) -> dict:
         [math.radians(d) for d in ex["sigma_deg"]],
         subsets=tuple(ex["subsets"]), modes=res.modes, cfg=res.estimator,
         n_trials=ex["n_trials"], seed=res.seed, sigma_d=ex["sigma_d"],
-        workers=res.workers)
+        workers=res.n_workers)
     csv_path = os.path.join(out_dir, "sweep.csv")
     H.write_sweep_csv(csv_path, sweep)
     curves: dict = {}
@@ -550,7 +556,7 @@ def _cmd_remmap(res: _Resolver, out_dir: str) -> dict:
                           "the trajectory; use one of "
                           f"{list(H.SCENARIO_NAMES)}")
     remmap = H.build_rem_map(res.scenario, traj, res.estimator, res.seed,
-                             workers=res.workers)
+                             workers=res.n_workers)
     csv_path = os.path.join(out_dir, "remmap.csv")
     H.write_remmap_csv(csv_path, remmap)
     rows = _read_rows(csv_path)

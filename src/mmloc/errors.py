@@ -30,6 +30,10 @@ class AllTrialsFailed(MmlocError):
     """Every Monte Carlo trial of an experiment raised."""
 
 
+class EmptyResult(MmlocError):
+    """An experiment has nothing to report (a grid with no valid node)."""
+
+
 class ConfigError(MmlocError):
     """Run configuration is malformed or violates an invariant."""
 

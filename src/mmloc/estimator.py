@@ -24,8 +24,10 @@ _LAMBDA_INIT = 1e-3
 _LAMBDA_MIN = 1e-12
 _LAMBDA_MAX = 1e10
 _GRAD_TOL = 1e-10  # whitened-gradient sup-norm at which a row counts as stationary
-_SEARCH_PAD = 3.0
-_JOINT_PRUNE = 50.0  # meters added to measured distances when boxing searches
+_SEARCH_PAD = 3.0  # meters added to measured distances when boxing searches
+_JOINT_PRUNE = 50.0  # joint-grid cost past which a bounce node cannot win
+_JOINT_SEEDS = 8  # ray-seeded UE nodes scored exactly to bound the joint grid
+_JOINT_CHUNK = 1 << 16  # (UE node, bounce node) pairs scored per array pass
 
 
 @dataclass(frozen=True)
@@ -215,6 +217,9 @@ def default_search_box(z: Observation, scenario: Scenario,
     Every path's total length bounds the UE to a square around its FE of
     half-width d'; the box is the intersection of those squares and the
     walls' reflective half-planes (with a half-spacing margin off walls).
+    If distance noise squeezes that shut, the bounding box of the union of
+    the squares is clipped the same way instead; DegenerateGeometry if
+    that is empty too.
     """
     los, his = [], []
     for j, path in enumerate(z.paths):
@@ -222,31 +227,32 @@ def default_search_box(z: Observation, scenario: Scenario,
         half = float(z.dist[j]) + _SEARCH_PAD
         los.append((fe.x - half, fe.y - half))
         his.append((fe.x + half, fe.y + half))
-    x0 = max(v[0] for v in los)
-    y0 = max(v[1] for v in los)
-    x1 = min(v[0] for v in his)
-    y1 = min(v[1] for v in his)
     margin = 0.5 * cfg.grid_spacing
-    for w in scenario.walls:
-        lo_is_cut = w.reflective_side.value == "positive"
-        if w.axis is WallAxis.VERTICAL:
-            if lo_is_cut:
-                x0 = max(x0, w.offset + margin)
+
+    def clipped(x0, x1, y0, y1):
+        for w in scenario.walls:
+            lo_is_cut = w.reflective_side.value == "positive"
+            if w.axis is WallAxis.VERTICAL:
+                if lo_is_cut:
+                    x0 = max(x0, w.offset + margin)
+                else:
+                    x1 = min(x1, w.offset - margin)
             else:
-                x1 = min(x1, w.offset - margin)
-        else:
-            if lo_is_cut:
-                y0 = max(y0, w.offset + margin)
-            else:
-                y1 = min(y1, w.offset - margin)
-    if not (x0 < x1 and y0 < y1):
-        # distance noise squeezed the intersection shut; fall back to the
-        # largest single-path square, wall-clipped the same way
-        x0 = min(v[0] for v in los)
-        y0 = min(v[1] for v in los)
-        x1 = max(v[0] for v in his)
-        y1 = max(v[1] for v in his)
-    return (x0, x1, y0, y1)
+                if lo_is_cut:
+                    y0 = max(y0, w.offset + margin)
+                else:
+                    y1 = min(y1, w.offset - margin)
+        return (x0, x1, y0, y1) if x0 < x1 and y0 < y1 else None
+
+    box = clipped(max(v[0] for v in los), min(v[0] for v in his),
+                  max(v[1] for v in los), min(v[1] for v in his))
+    if box is None:
+        box = clipped(min(v[0] for v in los), max(v[0] for v in his),
+                      min(v[1] for v in los), max(v[1] for v in his))
+    if box is None:
+        raise DegenerateGeometry(
+            "every measured-distance square lies behind a wall")
+    return box
 
 
 def _los_indices(paths: PathSet) -> list[int]:
@@ -298,11 +304,16 @@ def _best_scatterer(z: Observation, j: int, ue_xy: np.ndarray,
     return nodes[int(np.argmin(cost))]
 
 
-def _joint_min_cost(z: Observation, j: int, ue_nodes: np.ndarray,
-                    s_nodes: np.ndarray, fe_xy: np.ndarray) -> np.ndarray:
-    """min over s_nodes of path j's term, per UE node.  The departure
-    angle and FE leg depend on the scatterer alone, so they are computed
-    once; only the arrival angle and total distance vary with the UE."""
+def _bounce_terms(z: Observation, j: int, s_nodes: np.ndarray,
+                  fe_xy: np.ndarray, bound: float):
+    """The bounce nodes of path j that can score within bound for some UE
+    node, with the parts of the path's term that depend on the bounce node
+    alone: the departure-angle term and the FE leg.
+
+    The total distance is at least the FE leg, so the departure term plus
+    the distance term's value at the FE leg lower bounds the node's cost
+    for every UE; nodes past bound cannot reach it.  If no node is within
+    bound, every node is returned."""
     n = z.paths.n_paths
     var = z.covariance_diag
     f = s_nodes - fe_xy
@@ -312,19 +323,33 @@ def _joint_min_cost(z: Observation, j: int, ue_nodes: np.ndarray,
     leg_fe = np.sqrt(f2)
     cost_s = wrap(z.beta[j] - beta) ** 2 / var[n + j]
     ok_s = f2 > 1e-18
-    va, vd = var[j], var[2 * n + j]
-    za, zd = float(z.alpha[j]), float(z.dist[j])
-    # the total distance is at least the FE leg, so these two terms lower
-    # bound the node's cost for every UE; nodes past the threshold cannot
-    # win (the joint minimum sits near zero cost), only lose faster
+    zd, vd = float(z.dist[j]), var[2 * n + j]
     floor_d = np.where(leg_fe > zd, (leg_fe - zd) ** 2 / vd, 0.0)
-    keep = ok_s & (cost_s + floor_d <= _JOINT_PRUNE)
+    keep = ok_s & (cost_s + floor_d <= bound)
     if keep.any():
-        s_nodes, cost_s, leg_fe, ok_s = (s_nodes[keep], cost_s[keep],
-                                         leg_fe[keep], ok_s[keep])
+        return s_nodes[keep], cost_s[keep], leg_fe[keep], ok_s[keep]
+    return s_nodes, cost_s, leg_fe, ok_s
+
+
+def _joint_min_cost(z: Observation, j: int, ue_nodes: np.ndarray,
+                    s_nodes: np.ndarray, fe_xy: np.ndarray,
+                    bound: float = _JOINT_PRUNE) -> np.ndarray:
+    """min over s_nodes of path j's term, per UE node, skipping the bounce
+    nodes that cannot score within bound (see _bounce_terms).  The
+    departure angle and FE leg depend on the bounce node alone, so they
+    are computed once; only the arrival angle and total distance vary
+    with the UE."""
+    n = z.paths.n_paths
+    va, vd = z.covariance_diag[j], z.covariance_diag[2 * n + j]
+    za, zd = float(z.alpha[j]), float(z.dist[j])
+    s_nodes, cost_s, leg_fe, ok_s = _bounce_terms(z, j, s_nodes, fe_xy,
+                                                  bound)
     best = np.empty(len(ue_nodes))
-    for a in range(0, len(ue_nodes), 256):
-        e = s_nodes[None, :, :] - ue_nodes[a:a + 256, None, :]
+    # a fixed pair budget per pass, not a fixed row count: how many bounce
+    # nodes survive the bound varies by observation, and peak memory with it
+    rows = max(1, _JOINT_CHUNK // max(1, len(s_nodes)))
+    for a in range(0, len(ue_nodes), rows):
+        e = s_nodes[None, :, :] - ue_nodes[a:a + rows, None, :]
         e2 = np.einsum("...i,...i->...", e, e)
         with np.errstate(invalid="ignore", divide="ignore"):
             alpha = np.arctan2(e[..., 0], e[..., 1])
@@ -332,8 +357,88 @@ def _joint_min_cost(z: Observation, j: int, ue_nodes: np.ndarray,
         cost = (wrap(za - alpha) ** 2 / va + (zd - d) ** 2 / vd
                 + cost_s[None, :])
         cost = np.where(ok_s[None, :] & (e2 > 1e-18), cost, np.inf)
-        best[a:a + 256] = cost.min(axis=1)
+        best[a:a + rows] = cost.min(axis=1)
     return best
+
+
+def _ray_seed_cost(z: Observation, j: int, ue_nodes: np.ndarray,
+                   fe_xy: np.ndarray) -> np.ndarray:
+    """Path j's term at the bounce point seeded in closed form, per UE node.
+
+    The ray from the UE node at the measured arrival bearing meets the ray
+    from the FE at the measured departure bearing where both angle terms
+    vanish, so the term there is its distance term alone.  +inf where the
+    rays are parallel or meet behind either end."""
+    n = z.paths.n_paths
+    ax, ay = math.sin(z.alpha[j]), math.cos(z.alpha[j])
+    bx, by = math.sin(z.beta[j]), math.cos(z.beta[j])
+    det = ay * bx - ax * by
+    if abs(det) < 1e-12:
+        return np.full(len(ue_nodes), np.inf)
+    # ue + t (ax, ay) == fe + r (bx, by), solved for t and r
+    w = fe_xy - ue_nodes
+    t = (w[:, 1] * bx - w[:, 0] * by) / det
+    r = (ax * w[:, 1] - ay * w[:, 0]) / det
+    cost = (z.dist[j] - t - r) ** 2 / z.covariance_diag[2 * n + j]
+    return np.where((t > 0.0) & (r > 0.0), cost, np.inf)
+
+
+def _joint_totals(z: Observation, legs: list, ue_nodes: np.ndarray,
+                  bound: float = _JOINT_PRUNE) -> np.ndarray:
+    """Joint grid cost per UE node: the sum over the paths of legs, given
+    as (path index, bounce nodes, FE position), of each path's minimum over
+    its bounce nodes.  Below _JOINT_PRUNE, bound also drops every UE node
+    whose partial sum already exceeds it (every term is nonnegative), and
+    dropped nodes read +inf."""
+    total = np.zeros(len(ue_nodes))
+    live = np.arange(len(ue_nodes))
+    for j, s_nodes, fe_xy in legs:
+        total[live] += _joint_min_cost(z, j, ue_nodes[live], s_nodes, fe_xy,
+                                       bound)
+        if bound < _JOINT_PRUNE:
+            live = live[total[live] <= bound]
+    out = np.full(len(ue_nodes), np.inf)
+    out[live] = total[live]
+    return out
+
+
+def _joint_argmin(z: Observation, pair: list, ue_nodes: np.ndarray,
+                  scenario: Scenario, spacing: float) -> tuple[int, float]:
+    """Index and cost of the UE node that minimizes the joint grid cost of
+    the two NLOS paths in pair: the first minimum of the exhaustive pass
+    _joint_totals(z, legs, ue_nodes), found while scoring only a fraction of
+    the (UE node, bounce node) pairs.
+
+    1. Ray seeds give an upper bound U.  The _JOINT_SEEDS UE nodes with the
+       lowest finite seed cost (_ray_seed_cost summed over the pair) are
+       scored exactly, and U is the smallest exact total among them.
+    2. The pass is rerun with bound U.  Let u be the exhaustive argmin, so
+       its total T is at most U.  Each of its two path terms is at most T,
+       and a bounce node's lower bound never exceeds its cost, so the
+       bounce node that gives each term survives the bounce-node cut; u's
+       partial sums never exceed T, so u survives the UE-node cut.  Its
+       total is then computed over the same floats as in the exhaustive
+       pass.  Every other node scores a minimum over fewer bounce nodes,
+       which can only be larger, so no node before u ties with it.
+    3. With no finite seed, or U >= _JOINT_PRUNE, the exhaustive pass runs.
+    """
+    legs = []
+    for j in pair:
+        fe = scenario.fes[z.paths[j].fe_index]
+        legs.append((j, _grid_nodes(_scatterer_box(fe, float(z.dist[j])),
+                                    spacing), np.array([fe.x, fe.y])))
+    seed = sum(_ray_seed_cost(z, j, ue_nodes, fe_xy)
+               for j, _, fe_xy in legs)
+    cand = np.argsort(seed, kind="stable")[:_JOINT_SEEDS]
+    cand = cand[np.isfinite(seed[cand])]
+    bound = float(np.min(_joint_totals(z, legs, ue_nodes[cand]),
+                         initial=np.inf))
+    if bound < _JOINT_PRUNE:
+        total = _joint_totals(z, legs, ue_nodes, bound)
+    else:
+        total = _joint_totals(z, legs, ue_nodes)
+    k = int(np.argmin(total))
+    return k, float(total[k])
 
 
 def grid_init(z: Observation, paths: PathSet, scenario: Scenario,
@@ -345,8 +450,11 @@ def grid_init(z: Observation, paths: PathSet, scenario: Scenario,
     held fixed.  Without LOS paths: a joint grid over the UE and the two
     NLOS paths with the smallest measured distances (exact argmax of the
     joint grid: given the UE node, the per-path terms decouple), then 2D
-    grids for any remaining bounce points.  In REM mode bounce points are
-    known, so only the UE grid runs, scored by all paths.
+    grids for any remaining bounce points.  The joint grid is searched
+    under an upper bound taken from closed-form ray seeds, which skips
+    most (UE node, bounce node) pairs yet returns the same node as scoring
+    every pair (see _joint_argmin).  In REM mode bounce points are known,
+    so only the UE grid runs, scored by all paths.
     """
     check_sufficiency(paths)
     box = cfg.search_box if cfg.search_box is not None else \
@@ -378,16 +486,11 @@ def grid_init(z: Observation, paths: PathSet, scenario: Scenario,
     else:
         order = np.argsort(z.dist[nlos], kind="stable")
         pair = [nlos[k] for k in order[:2]]
-        total = np.zeros(len(ue_nodes))
-        for j in pair:
-            fe = scenario.fes[paths[j].fe_index]
-            fe_xy = np.array([fe.x, fe.y])
-            s_nodes = _grid_nodes(_scatterer_box(fe, float(z.dist[j])),
-                                  cfg.grid_spacing)
-            total += _joint_min_cost(z, j, ue_nodes, s_nodes, fe_xy)
-        if not np.isfinite(total).any():
+        k, total = _joint_argmin(z, pair, ue_nodes, scenario,
+                                 cfg.grid_spacing)
+        if not math.isfinite(total):
             raise DegenerateGeometry("no valid UE grid node in the search box")
-        ue0 = ue_nodes[int(np.argmin(total))]
+        ue0 = ue_nodes[k]
         pending = list(nlos)
 
     scat = [None] * paths.n_nlos

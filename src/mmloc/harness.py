@@ -18,7 +18,7 @@ import numpy as np
 
 from .bounds import CrbField, GridSpec, crb_grid, rmse_crb, \
     rmse_crb_distance_only
-from .errors import AllTrialsFailed, MmlocError
+from .errors import AllTrialsFailed, EmptyResult, MmlocError
 from .estimator import GapfConfig, check_sufficiency, estimate
 from .geometry import (PathKind, PathSet, Point2, ReflectiveSide, Scenario,
                        Wall, WallAxis, enumerate_paths)
@@ -148,7 +148,9 @@ def rmse_from_estimates(p_true: Point2,
     return float(np.sqrt(np.mean(d2)))
 
 
-def _trial_seeds(seed: int, index: int) -> tuple[np.random.SeedSequence, int]:
+def trial_seeds(seed: int, index: int) -> tuple[np.random.SeedSequence, int]:
+    """The synthesizer's seed sequence and the estimator's integer seed for
+    trial (or map point) index of an experiment seeded with seed."""
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(index,))
     synth, est = ss.spawn(2)
     return synth, int(est.generate_state(1)[0])
@@ -172,7 +174,7 @@ def _one_trial(scenario: Scenario, ue: Point2, mode: Mode, cfg: GapfConfig,
         idx = subset_indices(paths, subset)
         sub = paths.subset(idx)
         truth = ParamVector.truth_from_paths(ue, sub, Mode.NOREM)
-        synth_ss, est_seed = _trial_seeds(seed, index)
+        synth_ss, est_seed = trial_seeds(seed, index)
         if noiseless:
             obs = noiseless_observation(truth, sub, scenario)
         else:
@@ -294,7 +296,8 @@ def cdf_curve(scenario: Scenario, ue_grid: GridSpec,
     """Empirical CDFs of the position bound over the grid's valid nodes.
 
     Returns {(profile-label, mode-name): array of (rmse, probability)
-    rows, rmse ascending}.
+    rows, rmse ascending}.  Raises EmptyResult, naming the curves, if any
+    curve has no valid node.
     """
     out = {}
     for prof in profiles:
@@ -304,6 +307,10 @@ def cdf_curve(scenario: Scenario, ue_grid: GridSpec,
             vals = np.sort(field.valid_values())
             probs = np.arange(1, vals.size + 1) / vals.size
             out[(prof.label, mode.value)] = np.column_stack([vals, probs])
+    empty = [f"{p}:{m}" for (p, m), curve in sorted(out.items())
+             if not len(curve)]
+    if empty:
+        raise EmptyResult(f"no valid grid node for curves {', '.join(empty)}")
     return out
 
 
@@ -328,7 +335,7 @@ class _MapRunner:
         try:
             paths = enumerate_paths(scenario, ue)
             truth = ParamVector.truth_from_paths(ue, paths, Mode.NOREM)
-            synth_ss, est_seed = _trial_seeds(seed, index)
+            synth_ss, est_seed = trial_seeds(seed, index)
             obs = synthesize(truth, paths, scenario,
                              np.random.default_rng(synth_ss))
             rep = estimate(obs, scenario, Mode.NOREM,

@@ -252,7 +252,7 @@ def test_criterion_08_filter_beats_plain_gradient_on_multimodal_case():
     entropy, n_trials = 2024, 200
     gapf_ok = plain_ok = 0
     for i in range(n_trials):
-        synth_ss, est_seed = H._trial_seeds(entropy, i)
+        synth_ss, est_seed = H.trial_seeds(entropy, i)
         paths = enumerate_paths(sc, STUDY_UE)
         truth = ParamVector.truth_from_paths(STUDY_UE, paths, Mode.NOREM)
         z = synthesize(truth, paths, sc,

@@ -1,6 +1,7 @@
 """Command line interface: config validation, artifacts, exit codes."""
 import json
 import math
+import os
 
 import pytest
 import yaml
@@ -119,6 +120,24 @@ def test_estimate_noiseless_round_trip(tmp_path, capsys):
     assert echo["ue"] == [15.0, 15.0]
 
 
+def test_summary_echoes_configured_workers(tmp_path, capsys, monkeypatch):
+    """workers: 0 means one per core; the summary records the 0, so its
+    bytes do not depend on the machine's core count."""
+    cfg = _write_cfg(tmp_path, {
+        "scenario": "corner-1fe", "workers": 0, "estimator": LIGHT_EST,
+        "output_dir": str(tmp_path / "out"),
+        "experiment": {"noiseless": True},
+    })
+    summaries = []
+    for cores in (2, 7):
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        code, payload = _run(capsys, ["estimate", "--config", cfg])
+        assert code == 0
+        summaries.append(open(payload["summary"], "rb").read())
+    assert summaries[0] == summaries[1]
+    assert json.loads(summaries[0])["config"]["workers"] == 0
+
+
 def test_estimate_seed_override_changes_output(tmp_path, capsys):
     base = {"scenario": "corner-1fe", "seed": 1, "estimator": LIGHT_EST}
     ests = {}
@@ -224,6 +243,23 @@ def test_cdf_medians_come_from_the_csv(tmp_path, capsys):
         median = next(r for r, p in pts[curve] if p >= 0.5)
         assert stats["median"] == pytest.approx(median)
         assert stats["n"] == len(pts[curve])
+
+
+def test_cdf_over_a_grid_with_no_valid_node_fails(tmp_path, capsys):
+    """Every node of this grid lies behind the x = 0 wall."""
+    out = tmp_path / "out"
+    cfg = _write_cfg(tmp_path, {
+        "scenario": "corner-2fe", "mode": "both", "output_dir": str(out),
+        "grid": {"x_min": -10.0, "x_max": -5.0, "y_min": 1.0, "y_max": 5.0,
+                 "spacing": 1.0},
+    })
+    code, payload = _run(capsys, ["cdf", "--config", cfg])
+    assert code == 3
+    err = payload["error"]
+    assert err["type"] == "ExperimentError" and err["cause"] == "EmptyResult"
+    for curve in ("28GHz:NoREM", "28GHz:REM", "73GHz:NoREM", "73GHz:REM"):
+        assert curve in err["message"]
+    assert not (out / "cdf-summary.json").exists()
 
 
 def test_field_emits_delta_only_for_both_modes(tmp_path, capsys):

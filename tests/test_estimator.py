@@ -1,16 +1,20 @@
 """Particle filter building blocks and the full estimator loop."""
 import math
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from mmloc import (GapfConfig, InsufficientPaths, Mode, ParamVector,
-                   ParticleSet, Point2, ReflectiveSide, Scenario, Wall,
-                   WallAxis, check_sufficiency, default_search_box,
-                   enumerate_paths, estimate, gapf_iterate, grid_init,
-                   initial_particles, lm_refine, noise_profile_preset,
-                   noiseless_observation, resample_systematic, synthesize)
+import mmloc.estimator as E
+from mmloc import (DegenerateGeometry, GapfConfig, InsufficientPaths, Mode,
+                   ParamVector, ParticleSet, Point2, ReflectiveSide,
+                   Scenario, Wall, WallAxis, check_sufficiency,
+                   default_search_box, enumerate_paths, estimate,
+                   gapf_iterate, grid_init, initial_particles, lm_refine,
+                   noise_profile_preset, noiseless_observation,
+                   resample_systematic, scenario_preset, subset_indices,
+                   synthesize, trial_seeds)
 
 PROF = noise_profile_preset("73GHz")
 
@@ -141,6 +145,130 @@ def test_grid_init_nlos_only():
     # the joint cost is shallow without a LOS anchor: only require the
     # argmin node to land within the refinement basin
     assert math.hypot(t0.ue.x - UE.x, t0.ue.y - UE.y) <= 3.0
+
+
+def test_search_box_fallback_is_wall_clipped():
+    """Distance errors of about 20 m make the two direct paths' squares
+    disjoint; the fallback box is their union, still clipped to the
+    walls' reflective side."""
+    sc = scenario_preset("corner-2fe")
+    z = synthesize(ParamVector.truth_from_paths(
+        UE, enumerate_paths(sc, UE), Mode.NOREM), enumerate_paths(sc, UE),
+        sc, 1).subset([0, 1])
+    assert [p.fe_index for p in z.paths] == [0, 1]
+    # squares around (18, 10) of half-width 15 and (18, 48) of half-width 10
+    z = replace(z, dist=np.array([12.0, 7.0]))
+    assert default_search_box(z, sc, GapfConfig()) == (3.0, 33.0, 0.5, 58.0)
+
+
+def test_search_box_behind_a_wall_raises():
+    """Every square lies behind the wall at x = 40: no UE position fits."""
+    z, _ = _obs(seed=1)
+    behind = Scenario((Wall(WallAxis.VERTICAL, 40.0,
+                            ReflectiveSide.POSITIVE),), CORNER.fes, PROF)
+    z = replace(z, dist=np.full(3, 5.0))
+    with pytest.raises(DegenerateGeometry):
+        default_search_box(z, behind, GapfConfig())
+
+
+# ---------------------------------------------------------------------------
+# joint two-NLOS init: bound-pruned search against every pair scored
+# ---------------------------------------------------------------------------
+
+NLOS_STREAMS = {  # scene, profile, UE, entropy: 6 NLOS-only observations each
+    "corner-1fe-73GHz": ("corner-1fe", "73GHz", UE, 2024),  # criterion 8's
+    "corner-1fe-28GHz": ("corner-1fe", "28GHz", UE, 7),
+    "corner-2fe": ("corner-2fe", "73GHz", UE, 5),  # 4 NLOS, pair by distance
+    "canyon-2fe": ("canyon-2fe", "73GHz", Point2(10.0, 40.0), 3),
+}
+
+
+def _nlos_stream(scene, profile, ue, entropy, n=6):
+    sc = scenario_preset(scene, profile)
+    paths = enumerate_paths(sc, ue)
+    truth = ParamVector.truth_from_paths(ue, paths, Mode.NOREM)
+    nlos = subset_indices(paths, "nlos")
+    for i in range(n):
+        synth_ss, _ = trial_seeds(entropy, i)
+        z = synthesize(truth, paths, sc, np.random.default_rng(synth_ss))
+        yield sc, z.subset(nlos)
+
+
+def _joint_problem(z, sc, spacing=1.0):
+    """The pair and UE nodes grid_init searches when every path is NLOS."""
+    box = default_search_box(z, sc, GapfConfig(grid_spacing=spacing))
+    pair = [int(k) for k in np.argsort(z.dist, kind="stable")[:2]]
+    return pair, E._grid_nodes(box, spacing)
+
+
+def _exhaustive(z, sc, pair, ue_nodes, spacing=1.0):
+    """Every (UE node, bounce node) pair scored at the default bound."""
+    total = np.zeros(len(ue_nodes))
+    for j in pair:
+        fe = sc.fes[z.paths[j].fe_index]
+        s_nodes = E._grid_nodes(E._scatterer_box(fe, float(z.dist[j])),
+                                spacing)
+        total += E._joint_min_cost(z, j, ue_nodes, s_nodes,
+                                   np.array([fe.x, fe.y]))
+    k = int(np.argmin(total))
+    return k, float(total[k])
+
+
+@pytest.fixture
+def pairs_scored(monkeypatch):
+    """Counts the (UE node, bounce node) pairs _joint_min_cost scores."""
+    count = [0]
+    real = E._joint_min_cost
+
+    def counted(z, j, ue_nodes, s_nodes, fe_xy, bound=E._JOINT_PRUNE):
+        kept = E._bounce_terms(z, j, s_nodes, fe_xy, bound)[0]
+        count[0] += len(ue_nodes) * len(kept)
+        return real(z, j, ue_nodes, s_nodes, fe_xy, bound)
+
+    monkeypatch.setattr(E, "_joint_min_cost", counted)
+    return count
+
+
+def _scored(count, fn, *args):
+    count[0] = 0
+    out = fn(*args)
+    return out, count[0]
+
+
+@pytest.mark.parametrize("stream", sorted(NLOS_STREAMS))
+def test_pruned_joint_init_is_exact(stream, pairs_scored):
+    """Same argmin node and a bit-equal total as scoring every pair, from
+    at most a fifth of the pairs."""
+    pruned = exhaustive = 0
+    for sc, z in _nlos_stream(*NLOS_STREAMS[stream]):
+        pair, ue_nodes = _joint_problem(z, sc)
+        want, n_all = _scored(pairs_scored, _exhaustive, z, sc, pair,
+                              ue_nodes)
+        got, n_pruned = _scored(pairs_scored, E._joint_argmin, z, pair,
+                                ue_nodes, sc, 1.0)
+        assert got == want
+        t0 = grid_init(z, z.paths, sc, GapfConfig(), Mode.NOREM)
+        assert (t0.ue.x, t0.ue.y) == tuple(ue_nodes[want[0]])
+        exhaustive += n_all
+        pruned += n_pruned
+    assert pruned <= 0.2 * exhaustive
+
+
+def test_joint_init_falls_back_when_no_ray_meets(pairs_scored):
+    """With arrival and departure bearings parallel no seed is finite, so
+    the exhaustive pass runs."""
+    sc, z = next(_nlos_stream(*NLOS_STREAMS["corner-1fe-73GHz"]))
+    z = replace(z, beta=z.alpha.copy())
+    pair, ue_nodes = _joint_problem(z, sc)
+    seeds = sum(E._ray_seed_cost(z, j, ue_nodes,
+                                 np.array([sc.fes[0].x, sc.fes[0].y]))
+                for j in pair)
+    assert not np.isfinite(seeds).any()
+    want, n_all = _scored(pairs_scored, _exhaustive, z, sc, pair, ue_nodes)
+    got, n_pruned = _scored(pairs_scored, E._joint_argmin, z, pair,
+                            ue_nodes, sc, 1.0)
+    assert got == want
+    assert n_pruned == n_all
 
 
 def test_initial_particles_are_copies_of_seed():
