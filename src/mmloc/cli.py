@@ -30,6 +30,7 @@ from .estimator import GapfConfig, check_sufficiency
 from .estimator import estimate as run_estimator
 from .geometry import (PathKind, Point2, ReflectiveSide, Scenario, Wall,
                        WallAxis, enumerate_paths)
+from .harness import fmt_value as _fmt
 from .measurement import (PROFILE_PRESETS, Mode, NoiseProfile, ParamVector,
                           noise_profile_preset, noiseless_observation,
                           synthesize)
@@ -382,10 +383,6 @@ def _write_rows(path, header, rows) -> None:
         w = csv.writer(fh)
         w.writerow(header)
         w.writerows(rows)
-
-
-def _fmt(v: float) -> str:
-    return format(float(v), ".12g")
 
 
 def _summary(command: str, res: _Resolver, outputs: dict,

@@ -5,16 +5,20 @@ iteration resamples, spreads particles with annealed Gaussian process
 noise, locally refines every particle with damped least squares on the
 whitened wrapped residuals, and re-weights by likelihood.  The reported
 estimate is the best particle over all iterations.
+
+Observations of one path set (the trials of a Monte-Carlo run) are
+filtered as one batch: each keeps its own grid init and random streams,
+while every filter pass refines all their particles in one call.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DegenerateGeometry, InsufficientPaths
+from .errors import DegenerateGeometry, InsufficientPaths, MmlocError
 from .geometry import PathKind, PathSet, Point2, Scenario, WallAxis
 from .likelihood import LikelihoodEngine
 from .measurement import Mode, Observation, ParamVector, wrap
@@ -95,10 +99,6 @@ class ParticleSet:
         return self.states.shape[0]
 
     @property
-    def particles(self) -> list[ParamVector]:
-        return [ParamVector.from_array(row, self.mode) for row in self.states]
-
-    @property
     def best(self) -> tuple[ParamVector, float]:
         return ParamVector.from_array(self.best_state, self.mode), self.best_ll
 
@@ -124,16 +124,35 @@ def check_sufficiency(paths: PathSet) -> None:
 # damped least-squares refinement
 # --------------------------------------------------------------------------
 
+def _solve_rows(damped: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Each row's damped system solved on its own, with the pseudo-inverse
+    only where that row's own solve fails, so one singular system cannot
+    change the other rows' steps."""
+    step = np.empty_like(g)
+    for k in range(len(g)):
+        try:
+            step[k] = np.linalg.solve(damped[k], g[k, :, None])[:, 0]
+        except np.linalg.LinAlgError:
+            step[k] = np.linalg.pinv(damped[k]) @ g[k]
+    return step
+
+
 def _lm_refine_batch(eng: LikelihoodEngine, thetas: np.ndarray,
-                     cfg: GapfConfig) -> tuple[np.ndarray, np.ndarray]:
+                     cfg: GapfConfig,
+                     obs: Optional[np.ndarray] = None
+                     ) -> tuple[np.ndarray, np.ndarray]:
     """Refine each parameter row; only cost-decreasing steps are accepted,
     so the log-likelihood of every row is non-decreasing.  Rows that start
-    degenerate are returned unchanged with +inf cost.
+    degenerate are returned unchanged with +inf cost.  obs is each row's
+    observation index in eng (default: its only observation).  Every row
+    keeps its own damping and stopping state, so a row's result does not
+    depend on the other rows.
 
     Returns (states, cost) with cost = -(log_likelihood - log_norm)."""
     x = np.array(thetas, dtype=float)
     n, dim = x.shape
-    r, J, cost, ok = eng.linearize(x)
+    obs = np.zeros(n, dtype=int) if obs is None else np.asarray(obs)
+    r, J, cost, ok = eng.linearize(x, obs)
     lam = np.full(n, _LAMBDA_INIT)
     active = ok.copy()
     ii = np.arange(dim)
@@ -158,10 +177,10 @@ def _lm_refine_batch(eng: LikelihoodEngine, thetas: np.ndarray,
         try:
             step = np.linalg.solve(damped, g[..., None])[..., 0]
         except np.linalg.LinAlgError:
-            step = np.einsum("pij,pj->pi", np.linalg.pinv(damped), g)
+            step = _solve_rows(damped, g)
         step_ok = np.all(np.isfinite(step), axis=1)
         cand = x[idx] + np.where(step_ok[:, None], step, 0.0)
-        cand_cost, _ = eng.cost_valid(cand)
+        cand_cost, _ = eng.cost_valid(cand, obs[idx])
         cand_cost = np.where(step_ok, cand_cost, np.inf)
         improved = cand_cost < cost[idx]
         acc = idx[improved]
@@ -173,7 +192,7 @@ def _lm_refine_batch(eng: LikelihoodEngine, thetas: np.ndarray,
             active[acc[small]] = False
             live = acc[~small]
             if live.size:
-                r[live], J[live], _, _ = eng.linearize(x[live])
+                r[live], J[live], _, _ = eng.linearize(x[live], obs[live])
         rej = idx[~improved]
         lam[rej] *= 10.0
         active[rej[lam[rej] > _LAMBDA_MAX]] = False
@@ -524,27 +543,25 @@ def _iteration_rng(seed: int, iteration_index: int) -> np.random.Generator:
         np.random.SeedSequence(entropy=seed, spawn_key=(iteration_index,)))
 
 
-def gapf_iterate(ps: ParticleSet, z: Observation, scenario: Scenario,
-                 cfg: GapfConfig, iteration_index: int) -> ParticleSet:
-    """One filter pass: resample, spread, refine, re-weight, track best."""
-    eng = LikelihoodEngine(z, scenario, ps.mode)
-    rng = _iteration_rng(cfg.rng_seed, iteration_index)
-    res = resample_systematic(ps, rng)
-    std = cfg.process_std_position * cfg.anneal_factor ** iteration_index
-    prop = res.states + rng.normal(0.0, std, res.states.shape) if std > 0 \
-        else res.states.copy()
-    # re-draw proposals that landed on degenerate geometry
+def _redraw_degenerate(eng: LikelihoodEngine, prop: np.ndarray,
+                       states: np.ndarray, rng: np.random.Generator,
+                       std: float, bad: np.ndarray) -> None:
+    """Re-draw, in place and up to five times, the proposals that landed
+    on degenerate geometry (bad); any still degenerate fall back to their
+    resampled state."""
     for _ in range(5):
+        prop[bad] = states[bad] + rng.normal(0.0, std, (int(bad.sum()),
+                                                        prop.shape[1]))
         bad = ~eng.valid(prop)
         if not bad.any():
-            break
-        prop[bad] = res.states[bad] + rng.normal(0.0, std, (int(bad.sum()),
-                                                            prop.shape[1]))
-    bad = ~eng.valid(prop)
-    if bad.any():
-        prop[bad] = res.states[bad]
-    refined, cost = _lm_refine_batch(eng, prop, cfg)
-    ll = eng.log_norm - cost
+            return
+    prop[bad] = states[bad]
+
+
+def _reweight(res: ParticleSet, refined: np.ndarray, ll: np.ndarray,
+              iteration_index: int) -> ParticleSet:
+    """Weights from the refined particles' log-likelihoods ll, and the
+    best-so-far record carried over from the resampled set res."""
     top = float(np.max(ll))
     if math.isfinite(top):
         weights = np.exp(ll - top)
@@ -552,14 +569,44 @@ def gapf_iterate(ps: ParticleSet, z: Observation, scenario: Scenario,
         states = refined
     else:
         # every particle degenerate: keep the population, spread weight evenly
-        weights = np.full(ps.n_particles, 1.0 / ps.n_particles)
+        weights = np.full(res.n_particles, 1.0 / res.n_particles)
         states = res.states
     best_state, best_ll = res.best_state, res.best_ll
     if top > best_ll:
         best_state = refined[int(np.argmax(ll))].copy()
         best_ll = top
-    return ParticleSet(states, weights, best_state, best_ll, ps.mode,
+    return ParticleSet(states, weights, best_state, best_ll, res.mode,
                        iteration_index + 1)
+
+
+def gapf_iterate(sets: Sequence[ParticleSet], eng: LikelihoodEngine,
+                 cfg: GapfConfig, seeds: Sequence[int],
+                 iteration_index: int) -> list[ParticleSet]:
+    """One filter pass over a batch of particle sets, set b tracking
+    observation b of eng with seed seeds[b].
+
+    Each set is resampled and spread, and its proposals that land on
+    degenerate geometry re-drawn, from its own stream; then every set's
+    particles are refined in one damped least-squares call; then each set
+    is re-weighted and its best record updated."""
+    rngs = [_iteration_rng(seed, iteration_index) for seed in seeds]
+    res = [resample_systematic(ps, rng) for ps, rng in zip(sets, rngs)]
+    std = cfg.process_std_position * cfg.anneal_factor ** iteration_index
+    prop = np.concatenate([
+        r.states + rng.normal(0.0, std, r.states.shape) if std > 0
+        else r.states.copy() for r, rng in zip(res, rngs)])
+    sizes = [r.n_particles for r in res]
+    edges = np.cumsum([0] + sizes)
+    parts = [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]
+    bad = ~eng.valid(prop)
+    for part, r, rng in zip(parts, res, rngs):
+        if bad[part].any():
+            _redraw_degenerate(eng, prop[part], r.states, rng, std, bad[part])
+    refined, cost = _lm_refine_batch(eng, prop, cfg,
+                                     np.repeat(np.arange(len(res)), sizes))
+    ll = eng.log_norm - cost
+    return [_reweight(r, refined[part], ll[part], iteration_index)
+            for r, part in zip(res, parts)]
 
 
 def initial_particles(theta0: ParamVector, z: Observation,
@@ -573,59 +620,56 @@ def initial_particles(theta0: ParamVector, z: Observation,
     return ParticleSet(states, weights, arr.copy(), ll0, theta0.mode, 0)
 
 
-def estimate(z: Observation, scenario: Scenario, mode: Mode,
-             cfg: GapfConfig, strategy: str = "joint") -> EstimateReport:
+def estimate(z, scenario: Scenario, mode: Mode, cfg: GapfConfig,
+             seeds: Optional[Sequence[int]] = None):
     """Full estimator: staged grid init, then n_iterations filter passes.
 
-    strategy "joint" (default) estimates from all paths at once;
-    "subset_average" instead runs the estimator on each sufficient
-    minimal path subset (every LOS path alone, every NLOS pair) and
-    averages the UE estimates.
+    z is one Observation, or a sequence of observations of one path set
+    (say, the trials of a Monte-Carlo run) filtered as one batch.  Each
+    observation keeps its own grid init and its own filter streams, seeded
+    by seeds (default: cfg.rng_seed for every observation); each filter
+    pass refines every observation's particles in one call.  An
+    observation's estimate is the same, bit for bit, alone or at any
+    place in any batch.
+
+    One Observation gives its EstimateReport and raises what its grid init
+    raised.  A sequence gives a list aligned with it, with the MmlocError
+    of an observation whose grid init failed in place of its report; a
+    failure shared by the whole batch (too few paths) is raised.
     """
-    if strategy == "subset_average":
-        return _estimate_subset_average(z, scenario, mode, cfg)
-    if strategy != "joint":
-        raise ValueError(f"unknown strategy {strategy!r}")
-    check_sufficiency(z.paths)
-    theta0 = grid_init(z, z.paths, scenario, cfg, mode)
-    ps = initial_particles(theta0, z, scenario, cfg)
-    history = [ps.best_ll]
+    if isinstance(z, Observation):
+        out = estimate([z], scenario, mode, cfg, seeds)[0]
+        if isinstance(out, MmlocError):
+            raise out
+        return out
+    zs = list(z)
+    seeds = [cfg.rng_seed] * len(zs) if seeds is None else list(seeds)
+    if len(seeds) != len(zs):
+        raise ValueError("need one seed per observation")
+    out: list = [None] * len(zs)
+    if not zs:
+        return out
+    check_sufficiency(zs[0].paths)
+    live, sets = [], []
+    for b, zb in enumerate(zs):
+        try:
+            theta0 = grid_init(zb, zb.paths, scenario, cfg, mode)
+        except MmlocError as err:
+            out[b] = err
+            continue
+        live.append(b)
+        sets.append(initial_particles(theta0, zb, scenario, cfg))
+    if not live:
+        return out
+    eng = LikelihoodEngine([zs[b] for b in live], scenario, mode)
+    live_seeds = [seeds[b] for b in live]
+    history = [[ps.best_ll] for ps in sets]
     for k in range(cfg.n_iterations):
-        ps = gapf_iterate(ps, z, scenario, cfg, k)
-        history.append(ps.best_ll)
-    theta_hat, best_ll = ps.best
-    return EstimateReport(theta_hat, best_ll, cfg.n_iterations,
-                          cfg.rng_seed, mode, tuple(history))
-
-
-def _estimate_subset_average(z: Observation, scenario: Scenario, mode: Mode,
-                             cfg: GapfConfig) -> EstimateReport:
-    """Average the UE estimates of every minimal sufficient path subset
-    (each LOS path alone, each NLOS pair); NoREM bounce points are then
-    gridded once with the averaged UE held fixed."""
-    paths = z.paths
-    los = _los_indices(paths)
-    nlos = [i for i in range(paths.n_paths) if i not in los]
-    subsets: list[list[int]] = [[i] for i in los]
-    subsets += [[a, b] for k, a in enumerate(nlos) for b in nlos[k + 1:]]
-    if not subsets:
-        raise InsufficientPaths("no sufficient path subset exists")
-    ues, history = [], []
-    for sub in subsets:
-        rep = estimate(z.subset(sub), scenario, mode, cfg)
-        ues.append((rep.theta_hat.ue.x, rep.theta_hat.ue.y))
-        history.append(rep.log_likelihood)
-    ue_xy = np.mean(np.array(ues), axis=0)
-    ue = Point2(float(ue_xy[0]), float(ue_xy[1]))
-    if mode is Mode.REM:
-        theta_hat = ParamVector(ue, (), Mode.REM)
-    else:
-        scat: list = [None] * paths.n_nlos
-        for j in nlos:
-            s = _best_scatterer(z, j, ue_xy, scenario, cfg.grid_spacing)
-            scat[paths[j].scatterer_index] = Point2(float(s[0]), float(s[1]))
-        theta_hat = ParamVector(ue, tuple(scat), Mode.NOREM)
-    from .likelihood import log_likelihood as _ll
-    return EstimateReport(theta_hat, _ll(z, theta_hat, scenario),
-                          cfg.n_iterations, cfg.rng_seed, mode,
-                          tuple(history))
+        sets = gapf_iterate(sets, eng, cfg, live_seeds, k)
+        for h, ps in zip(history, sets):
+            h.append(ps.best_ll)
+    for b, ps, h in zip(live, sets, history):
+        theta_hat, best_ll = ps.best
+        out[b] = EstimateReport(theta_hat, best_ll, cfg.n_iterations,
+                                seeds[b], mode, tuple(h))
+    return out

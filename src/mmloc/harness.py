@@ -4,14 +4,17 @@ CDF curves over UE grids, bound fields, and scatterer-map construction.
 All randomness derives from one integer seed: trial i of an experiment
 uses SeedSequence(seed, spawn_key=(i,)) split once for the synthesizer
 and once for the estimator, so results are reproducible regardless of
-worker count or scheduling.
+worker count, scheduling and batch composition: Monte-Carlo trials are
+filtered in batches (see estimator.estimate), and a trial's estimate is
+the same bits in any batch.
 """
 from __future__ import annotations
 
 import csv
 import math
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -25,6 +28,8 @@ from .geometry import (PathKind, PathSet, Point2, ReflectiveSide, Scenario,
 from .measurement import (Mode, NoiseProfile, ParamVector,
                           noise_profile_preset, noiseless_observation,
                           synthesize)
+
+_BATCH_ROWS = 1 << 12  # (trial, particle) rows per Monte-Carlo filter batch
 
 # --------------------------------------------------------------------------
 # canonical scenes
@@ -91,15 +96,22 @@ def trajectory_preset(name: str, n_points: int = 20) -> tuple[Point2, ...]:
 
 @dataclass(frozen=True)
 class McResult:
+    """Monte-Carlo RMSE against the bound.  failure_causes counts the
+    failed trials by exception type name."""
+
     rmse_est: float
     rmse_crb: float
     n_trials: int
     failures: int
     seed: int
+    failure_causes: dict = field(default_factory=dict, hash=False)
 
     def __post_init__(self):
         if self.failures > self.n_trials:
             raise ValueError("more failures than trials")
+        if self.failure_causes and \
+                sum(self.failure_causes.values()) != self.failures:
+            raise ValueError("failure causes must add up to the failures")
 
 
 @dataclass(eq=False)
@@ -166,43 +178,61 @@ def subset_indices(paths: PathSet, name: str) -> list[int]:
     raise KeyError(f"unknown path subset {name!r}; known: all, los, nlos")
 
 
-def _one_trial(scenario: Scenario, ue: Point2, mode: Mode, cfg: GapfConfig,
-               seed: int, index: int, subset: str,
-               noiseless: bool) -> Optional[tuple[float, float]]:
-    try:
-        paths = enumerate_paths(scenario, ue)
-        idx = subset_indices(paths, subset)
-        sub = paths.subset(idx)
-        truth = ParamVector.truth_from_paths(ue, sub, Mode.NOREM)
-        synth_ss, est_seed = trial_seeds(seed, index)
-        if noiseless:
-            obs = noiseless_observation(truth, sub, scenario)
-        else:
-            obs = synthesize(truth, sub, scenario,
-                             np.random.default_rng(synth_ss))
-        rep = estimate(obs, scenario, mode, replace(cfg, rng_seed=est_seed))
-        return (rep.theta_hat.ue.x, rep.theta_hat.ue.y)
-    except MmlocError:
-        return None
-
-
-def _run_indexed(fn, n: int, workers: int) -> list:
-    if workers <= 1 or n <= 1:
-        return [fn(i) for i in range(n)]
+def _run_all(fn, items: Sequence, workers: int) -> list:
+    if workers <= 1 or len(items) <= 1:
+        return [fn(item) for item in items]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(n), chunksize=max(1, n // (workers * 4))))
+        return list(pool.map(fn, items,
+                             chunksize=max(1, len(items) // (workers * 4))))
+
+
+def _trial_chunks(n_trials: int, n_particles: int,
+                  workers: int) -> list[range]:
+    """Contiguous trial ranges, each one filter batch of at most
+    _BATCH_ROWS rows; with workers > 1, split at least workers ways when
+    there are that many trials."""
+    size = max(1, _BATCH_ROWS // n_particles)
+    if workers > 1:
+        size = min(size, -(-n_trials // workers))
+    return [range(a, min(a + size, n_trials))
+            for a in range(0, n_trials, size)]
 
 
 class _TrialRunner:
-    """Picklable per-index trial closure for worker pools."""
+    """Picklable closure that runs a range of trials as one filter batch;
+    gives per trial its UE estimate, or the type name of the MmlocError
+    that failed it."""
 
-    def __init__(self, scenario, ue, mode, cfg, seed, subset, noiseless):
-        self.args = (scenario, ue, mode, cfg, seed, subset, noiseless)
+    def __init__(self, scenario, ue, paths, mode, cfg, seed, noiseless):
+        self.args = (scenario, ue, paths, mode, cfg, seed, noiseless)
 
-    def __call__(self, index: int):
-        scenario, ue, mode, cfg, seed, subset, noiseless = self.args
-        return _one_trial(scenario, ue, mode, cfg, seed, index, subset,
-                          noiseless)
+    def __call__(self, indices: range) -> list:
+        scenario, ue, paths, mode, cfg, seed, noiseless = self.args
+        truth = ParamVector.truth_from_paths(ue, paths, Mode.NOREM)
+        out: list = [None] * len(indices)
+        at, batch, seeds = [], [], []
+        for k, i in enumerate(indices):
+            synth_ss, est_seed = trial_seeds(seed, i)
+            try:
+                if noiseless:
+                    obs = noiseless_observation(truth, paths, scenario)
+                else:
+                    obs = synthesize(truth, paths, scenario,
+                                     np.random.default_rng(synth_ss))
+            except MmlocError as err:
+                out[k] = type(err).__name__
+                continue
+            at.append(k)
+            batch.append(obs)
+            seeds.append(est_seed)
+        try:
+            reports = estimate(batch, scenario, mode, cfg, seeds)
+        except MmlocError as err:  # shared by every trial of the batch
+            reports = [err] * len(batch)
+        for k, rep in zip(at, reports):
+            out[k] = type(rep).__name__ if isinstance(rep, MmlocError) \
+                else (rep.theta_hat.ue.x, rep.theta_hat.ue.y)
+        return out
 
 
 def mc_rmse(scenario: Scenario, ue: Point2, mode: Mode, cfg: GapfConfig,
@@ -210,23 +240,28 @@ def mc_rmse(scenario: Scenario, ue: Point2, mode: Mode, cfg: GapfConfig,
             subset: str = "all", noiseless: bool = False) -> McResult:
     """n_trials independent synthesize-and-estimate rounds at a fixed UE.
 
-    Trials that raise are counted as failures and excluded from the RMSE;
-    the matching position CRB is attached for comparison.
+    Trials that raise are counted as failures, by cause, and excluded
+    from the RMSE; the matching position CRB is attached for comparison.
+    The trials run in contiguous batches through one filter each (see
+    _trial_chunks); the result does not depend on the batching.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
-    paths = enumerate_paths(scenario, ue).subset(
-        subset_indices(enumerate_paths(scenario, ue), subset))
+    paths = enumerate_paths(scenario, ue)
+    paths = paths.subset(subset_indices(paths, subset))
     check_sufficiency(paths)
     truth = ParamVector.truth_from_paths(ue, paths, Mode.NOREM)
     crb = rmse_crb(truth, paths, scenario, scenario.noise_profile, mode)
-    runner = _TrialRunner(scenario, ue, mode, cfg, seed, subset, noiseless)
-    outcomes = _run_indexed(runner, n_trials, workers)
-    hits = [o for o in outcomes if o is not None]
+    runner = _TrialRunner(scenario, ue, paths, mode, cfg, seed, noiseless)
+    chunks = _trial_chunks(n_trials, cfg.n_particles, workers)
+    outcomes = [o for part in _run_all(runner, chunks, workers) for o in part]
+    hits = [o for o in outcomes if not isinstance(o, str)]
+    causes = dict(sorted(Counter(o for o in outcomes
+                                 if isinstance(o, str)).items()))
     if not hits:
-        raise AllTrialsFailed(f"all {n_trials} trials failed")
+        raise AllTrialsFailed(f"all {n_trials} trials failed: {causes}")
     return McResult(rmse_from_estimates(ue, hits), crb, n_trials,
-                    n_trials - len(hits), seed)
+                    n_trials - len(hits), seed, causes)
 
 
 # --------------------------------------------------------------------------
@@ -358,7 +393,7 @@ def build_rem_map(scenario: Scenario, trajectory: Sequence[Point2],
     """Estimate (NoREM) at every trajectory point and collect the bounce
     points with the measured parameters that located them."""
     runner = _MapRunner(scenario, trajectory, cfg, seed)
-    outcomes = _run_indexed(runner, len(trajectory), workers)
+    outcomes = _run_all(runner, range(len(trajectory)), workers)
     scatterers, source, params, failures = [], [], [], []
     for i, entries in enumerate(outcomes):
         if entries is None:
@@ -375,7 +410,8 @@ def build_rem_map(scenario: Scenario, trajectory: Sequence[Point2],
 # CSV emitters
 # --------------------------------------------------------------------------
 
-def _fmt(v: float) -> str:
+def fmt_value(v: float) -> str:
+    """A number as CSV text: 12 significant digits."""
     return format(float(v), ".12g")
 
 
@@ -387,16 +423,16 @@ def write_sweep_csv(path, sweep: SweepResult) -> None:
         w.writerow(["sigma_deg", "curve", "rmse"])
         for key, vals in sorted(sweep.crb.items()):
             for s, v in zip(sweep.sigma_angle_values, vals):
-                w.writerow([_fmt(math.degrees(s)), f"{key[0]}:{key[1]}:crb",
-                            _fmt(v)])
+                w.writerow([fmt_value(math.degrees(s)),
+                            f"{key[0]}:{key[1]}:crb", fmt_value(v)])
         for key, vals in sorted(sweep.mc.items()):
             for s, v in zip(sweep.sigma_angle_values, vals):
-                w.writerow([_fmt(math.degrees(s)), f"{key[0]}:{key[1]}:mc",
-                            _fmt(v)])
+                w.writerow([fmt_value(math.degrees(s)),
+                            f"{key[0]}:{key[1]}:mc", fmt_value(v)])
         for name, v in sorted(sweep.distance_only.items()):
             for s in sweep.sigma_angle_values:
-                w.writerow([_fmt(math.degrees(s)), f"{name}:distance-only",
-                            _fmt(v)])
+                w.writerow([fmt_value(math.degrees(s)),
+                            f"{name}:distance-only", fmt_value(v)])
 
 
 def write_cdf_csv(path, curves: dict) -> None:
@@ -407,7 +443,7 @@ def write_cdf_csv(path, curves: dict) -> None:
         for key in sorted(curves):
             label = f"{key[0]}:{key[1]}"
             for rmse, prob in curves[key]:
-                w.writerow([label, _fmt(rmse), _fmt(prob)])
+                w.writerow([label, fmt_value(rmse), fmt_value(prob)])
 
 
 def write_field_csv(path, field: CrbField) -> None:
@@ -417,7 +453,8 @@ def write_field_csv(path, field: CrbField) -> None:
         w.writerow(["x", "y", "value"])
         for i, x in enumerate(field.xs):
             for j, y in enumerate(field.ys):
-                w.writerow([_fmt(x), _fmt(y), _fmt(field.values[i, j])])
+                w.writerow([fmt_value(x), fmt_value(y),
+                            fmt_value(field.values[i, j])])
 
 
 def write_remmap_csv(path, remmap: RemMap) -> None:
@@ -428,5 +465,6 @@ def write_remmap_csv(path, remmap: RemMap) -> None:
         for s, (ue, _), (alpha, beta, d) in zip(remmap.estimated_scatterers,
                                                 remmap.source,
                                                 remmap.parameters):
-            w.writerow([_fmt(s.x), _fmt(s.y), _fmt(ue.x), _fmt(ue.y),
-                        _fmt(alpha), _fmt(beta), _fmt(d)])
+            w.writerow([fmt_value(s.x), fmt_value(s.y), fmt_value(ue.x),
+                        fmt_value(ue.y), fmt_value(alpha), fmt_value(beta),
+                        fmt_value(d)])

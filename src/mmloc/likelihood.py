@@ -20,31 +20,55 @@ LOG_TWO_PI = math.log(2.0 * math.pi)
 
 
 class LikelihoodEngine:
-    """Batched residual/likelihood evaluation for one observation.
+    """Batched residual/likelihood evaluation for observations of one path
+    set.
 
     Compiles the path structure once; all methods take flat parameter
     arrays of shape (..., dim).  Rows flagged invalid by valid() get
     log-likelihood -inf rather than garbage.
+
+    z is one Observation, or a sequence of observations of the same path
+    set with the same covariance (say, the trials of a Monte-Carlo run);
+    obs then gives, per parameter row, the index of the observation that
+    row is scored against.  Every row is reduced along its own contiguous
+    measurement axis, so a row's value does not depend on the other rows
+    of the call.
     """
 
-    def __init__(self, z: Observation, scenario: Scenario, mode: Mode):
-        cov = np.asarray(z.covariance_diag, dtype=float)
+    def __init__(self, z, scenario: Scenario, mode: Mode):
+        obs = [z] if isinstance(z, Observation) else list(z)
+        if not obs:
+            raise ValueError("need at least one observation")
+        cov = np.asarray(obs[0].covariance_diag, dtype=float)
         if np.any(cov <= 0.0) or not np.all(np.isfinite(cov)):
             raise SingularCovariance("covariance diagonal must be positive and finite")
-        self.geom = PathGeometry(z.paths, scenario, mode)
-        self.z = z.z
+        for o in obs[1:]:
+            if o.paths != obs[0].paths or \
+                    not np.array_equal(o.covariance_diag, cov):
+                raise ValueError(
+                    "observations must share paths and covariance")
+        self.geom = PathGeometry(obs[0].paths, scenario, mode)
+        self.z = np.stack([o.z for o in obs])  # (n_obs, m)
         self.cov = cov
         self.inv_sigma = 1.0 / np.sqrt(cov)
-        self.m = z.m
+        self.m = obs[0].m
         self.log_norm = -0.5 * (self.m * LOG_TWO_PI + float(np.sum(np.log(cov))))
-        self.n_angle = 2 * z.paths.n_paths  # alpha and beta blocks wrap
+        self.n_angle = 2 * obs[0].paths.n_paths  # alpha and beta blocks wrap
 
     @property
     def dim(self) -> int:
         return self.geom.dim
 
-    def _wrap_residual(self, h: np.ndarray) -> np.ndarray:
-        r = self.z - h
+    def _wrap_residual(self, h: np.ndarray, obs=None) -> np.ndarray:
+        if obs is None:
+            if len(self.z) > 1:
+                raise ValueError("obs is required with several observations")
+            z = self.z[0]
+        else:
+            z = self.z[obs]
+        # C order whatever h's layout: the reductions below then run along
+        # contiguous rows, in the same order for a row alone or in a batch
+        r = np.subtract(z, h, order="C")
         r[..., :self.n_angle] = wrap(r[..., :self.n_angle])
         return r
 
@@ -54,11 +78,11 @@ class LikelihoodEngine:
     def valid(self, thetas: np.ndarray) -> np.ndarray:
         return self.geom.valid(thetas)
 
-    def cost_valid(self, thetas: np.ndarray):
+    def cost_valid(self, thetas: np.ndarray, obs=None):
         """(half squared whitened residual norm, validity); cost is +inf on
         degenerate rows.  log_likelihood == log_norm - cost."""
         h, ok = self.geom.h_valid(thetas)
-        w = self._wrap_residual(h) * self.inv_sigma
+        w = self._wrap_residual(h, obs) * self.inv_sigma
         cost = 0.5 * np.einsum("...i,...i->...", w, w)
         return np.where(ok, cost, np.inf), ok
 
@@ -68,15 +92,10 @@ class LikelihoodEngine:
         cost, _ = self.cost_valid(thetas)
         return self.log_norm - cost
 
-    def whitened_residual_and_jacobian(self, thetas: np.ndarray):
-        """(r_w, J_w) with both sides whitened, for least-squares steps."""
-        r_w, J_w, _, _ = self.linearize(thetas)
-        return r_w, J_w
-
-    def linearize(self, thetas: np.ndarray):
+    def linearize(self, thetas: np.ndarray, obs=None):
         """(r_w, J_w, cost, valid) in one geometry pass."""
         h, J, ok = self.geom.h_jacobian_valid(thetas)
-        r_w = self._wrap_residual(h) * self.inv_sigma
+        r_w = self._wrap_residual(h, obs) * self.inv_sigma
         J_w = J * self.inv_sigma[:, None]
         cost = 0.5 * np.einsum("...i,...i->...", r_w, r_w)
         return r_w, J_w, np.where(ok, cost, np.inf), ok

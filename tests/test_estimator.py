@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 
 import mmloc.estimator as E
-from mmloc import (DegenerateGeometry, GapfConfig, InsufficientPaths, Mode,
-                   ParamVector, ParticleSet, Point2, ReflectiveSide,
-                   Scenario, Wall, WallAxis, check_sufficiency,
-                   default_search_box, enumerate_paths, estimate,
-                   gapf_iterate, grid_init, initial_particles, lm_refine,
-                   noise_profile_preset, noiseless_observation,
+from mmloc import (DegenerateGeometry, GapfConfig, InsufficientPaths,
+                   LikelihoodEngine, Mode, ParamVector, ParticleSet, Point2,
+                   ReflectiveSide, Scenario, Wall, WallAxis,
+                   check_sufficiency, default_search_box, enumerate_paths,
+                   estimate, gapf_iterate, grid_init, initial_particles,
+                   lm_refine, noise_profile_preset, noiseless_observation,
                    resample_systematic, scenario_preset, subset_indices,
                    synthesize, trial_seeds)
 
@@ -116,6 +116,37 @@ def test_lm_refine_never_worsens_likelihood():
     out = lm_refine(z, start, CORNER, GapfConfig())
     assert (log_likelihood(z, out, CORNER)
             >= log_likelihood(z, start, CORNER) - 1e-12)
+
+
+def test_lm_failed_solve_stays_in_its_row(monkeypatch):
+    """When the batched solve fails, the rows are solved one at a time and
+    only the row whose own solve fails takes the pseudo-inverse: every
+    other row ends bit-equal to a run without that row."""
+    z, theta = _obs(seed=3)
+    eng = LikelihoodEngine(z, CORNER, Mode.NOREM)
+    rows = theta.to_array() + np.random.default_rng(9).normal(
+        0.0, 1.0, (6, eng.dim))
+    marked = theta.to_array().copy()
+    marked[:2] = [18.0 - 1e-3, 10.0 + 1e-3]  # UE a millimetre off the FE
+    want, want_cost = E._lm_refine_batch(eng, rows, GapfConfig())
+
+    solve = np.linalg.solve
+    failed = []
+
+    def failing_solve(a, b):
+        # only the marked row's normal matrix is this large
+        if np.any(a[..., 0, 0] > 1e6):
+            failed.append(a.ndim)
+            raise np.linalg.LinAlgError("marked row")
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", failing_solve)
+    got, got_cost = E._lm_refine_batch(
+        eng, np.vstack([rows[:3], marked, rows[3:]]), GapfConfig())
+    assert 3 in failed and 2 in failed  # the batch, then the row alone
+    np.testing.assert_array_equal(np.delete(got, 3, axis=0), want)
+    np.testing.assert_array_equal(np.delete(got_cost, 3), want_cost)
+    assert got_cost[3] < eng.cost_valid(marked[None, :])[0][0]
 
 
 def test_default_search_box_contains_truth():
@@ -290,7 +321,8 @@ def test_iterate_output_is_normalized():
     z, theta = _obs(seed=4)
     cfg = GapfConfig(n_particles=12, rng_seed=5)
     ps = initial_particles(grid_init(z, z.paths, CORNER, cfg), z, CORNER, cfg)
-    out = gapf_iterate(ps, z, CORNER, cfg, 0)
+    eng = LikelihoodEngine(z, CORNER, ps.mode)
+    [out] = gapf_iterate([ps], eng, cfg, [cfg.rng_seed], 0)
     assert out.weights.min() >= 0.0
     assert float(out.weights.sum()) == pytest.approx(1.0, abs=1e-12)
     assert out.iteration == 1
@@ -336,21 +368,69 @@ def test_estimate_zero_process_noise_runs():
     assert np.isfinite(rep.log_likelihood)
 
 
+BATCH_CFG = GapfConfig(n_particles=12, n_iterations=4)
+
+
+def _trials(subset, n=8):
+    """n trials synthesized at UE and their filter seeds, drawn the way
+    mc_rmse draws them."""
+    paths = enumerate_paths(CORNER, UE)
+    sub = paths.subset(subset_indices(paths, subset))
+    truth = ParamVector.truth_from_paths(UE, sub, Mode.NOREM)
+    obs, seeds = [], []
+    for i in range(n):
+        synth_ss, est_seed = trial_seeds(3, i)
+        obs.append(synthesize(truth, sub, CORNER,
+                              np.random.default_rng(synth_ss)))
+        seeds.append(est_seed)
+    return obs, seeds
+
+
+def _same_report(a, b):
+    np.testing.assert_array_equal(a.theta_hat.to_array(),
+                                  b.theta_hat.to_array())
+    assert a.log_likelihood == b.log_likelihood
+    assert a.best_ll_history == b.best_ll_history
+    assert a.seed == b.seed
+
+
+@pytest.mark.parametrize("subset", ["all", "nlos"])
+@pytest.mark.parametrize("mode", [Mode.NOREM, Mode.REM])
+def test_batched_estimates_match_lone_runs(mode, subset):
+    """A trial's report is the same bits alone, in a batch of 8, and at
+    another place in the batch."""
+    obs, seeds = _trials(subset)
+    alone = [estimate(z, CORNER, mode, replace(BATCH_CFG, rng_seed=s))
+             for z, s in zip(obs, seeds)]
+    batch = estimate(obs, CORNER, mode, BATCH_CFG, seeds)
+    moved = estimate(obs[::-1], CORNER, mode, BATCH_CFG, seeds[::-1])[::-1]
+    for a, b, c in zip(alone, batch, moved):
+        _same_report(a, b)
+        _same_report(a, c)
+
+
+def test_failed_grid_init_drops_only_its_trial(monkeypatch):
+    obs, seeds = _trials("all", 6)
+    want = estimate(obs[:2] + obs[3:], CORNER, Mode.NOREM, BATCH_CFG,
+                    seeds[:2] + seeds[3:])
+    grid = E.grid_init
+
+    def failing(z, *args, **kwargs):
+        if z is obs[2]:
+            raise DegenerateGeometry("injected")
+        return grid(z, *args, **kwargs)
+
+    monkeypatch.setattr(E, "grid_init", failing)
+    got = estimate(obs, CORNER, Mode.NOREM, BATCH_CFG, seeds)
+    assert isinstance(got[2], DegenerateGeometry)
+    for a, b in zip(got[:2] + got[3:], want):
+        _same_report(a, b)
+    with pytest.raises(DegenerateGeometry):
+        estimate(obs[2], CORNER, Mode.NOREM, BATCH_CFG)
+    assert estimate([], CORNER, Mode.NOREM, BATCH_CFG) == []
+
+
 def test_estimate_insufficient_paths_raises():
     z, _ = _obs(seed=1)
     with pytest.raises(InsufficientPaths):
         estimate(z.subset([1]), CORNER, Mode.NOREM, GapfConfig())
-
-
-def test_estimate_rejects_unknown_strategy():
-    z, _ = _obs(seed=1)
-    with pytest.raises(ValueError):
-        estimate(z, CORNER, Mode.NOREM, GapfConfig(), strategy="bogus")
-
-
-def test_subset_average_strategy_runs():
-    z, _ = _obs(seed=15)
-    cfg = GapfConfig(n_particles=12, n_iterations=3, rng_seed=2)
-    rep = estimate(z, CORNER, Mode.NOREM, cfg, strategy="subset_average")
-    err = math.hypot(rep.theta_hat.ue.x - UE.x, rep.theta_hat.ue.y - UE.y)
-    assert err < 5.0  # sanity scale only; averaging trades variance terms

@@ -4,10 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from mmloc import (EXAMPLE_UES, SCENARIO_NAMES, GapfConfig, GridSpec,
-                   McResult, Mode, PathKind, Point2, beamwidth_sweep,
-                   build_rem_map, cdf_curve, crb_grid, delta_field,
-                   enumerate_paths, grid_preset, mc_rmse,
+import mmloc.estimator as E
+import mmloc.harness as H
+from mmloc import (EXAMPLE_UES, SCENARIO_NAMES, DegenerateGeometry,
+                   GapfConfig, GridSpec, McResult, Mode, PathKind, Point2,
+                   beamwidth_sweep, build_rem_map, cdf_curve, crb_grid,
+                   delta_field, enumerate_paths, grid_preset, mc_rmse,
                    noise_profile_preset, rmse_from_estimates,
                    scenario_preset, subset_indices, trajectory_preset,
                    write_cdf_csv, write_field_csv, write_remmap_csv,
@@ -112,12 +114,49 @@ def test_mc_rmse_noiseless_collapses():
 def test_mc_rmse_subset_and_workers():
     sc = scenario_preset("corner-1fe")
     ue = EXAMPLE_UES["corner-1fe"]
-    seq = mc_rmse(sc, ue, Mode.REM, LIGHT, n_trials=4, seed=7, subset="nlos")
-    par = mc_rmse(sc, ue, Mode.REM, LIGHT, n_trials=4, seed=7, subset="nlos",
-                  workers=2)
-    assert seq == par  # worker count must not change the draw stream
-    full = mc_rmse(sc, ue, Mode.REM, LIGHT, n_trials=4, seed=7)
-    assert seq.rmse_crb > full.rmse_crb  # fewer paths, weaker bound
+    for mode in (Mode.NOREM, Mode.REM):
+        seq = mc_rmse(sc, ue, mode, LIGHT, n_trials=4, seed=7, subset="nlos")
+        par = mc_rmse(sc, ue, mode, LIGHT, n_trials=4, seed=7,
+                      subset="nlos", workers=2)
+        assert seq == par  # worker count must not change the draw stream
+        full = mc_rmse(sc, ue, mode, LIGHT, n_trials=4, seed=7)
+        assert seq.rmse_crb > full.rmse_crb  # fewer paths, weaker bound
+
+
+@pytest.mark.parametrize("mode", [Mode.NOREM, Mode.REM])
+def test_mc_rmse_does_not_depend_on_batching(monkeypatch, mode):
+    """One batch of 6, batches of 4 and 2, six batches of one trial, and
+    three per worker on two workers give the same bits."""
+    sc = scenario_preset("corner-1fe")
+    ue = EXAMPLE_UES["corner-1fe"]
+    whole = mc_rmse(sc, ue, mode, LIGHT, n_trials=6, seed=9)
+    assert whole == mc_rmse(sc, ue, mode, LIGHT, n_trials=6, seed=9,
+                            workers=2)
+    for trials_per_batch in (4, 1):
+        monkeypatch.setattr(H, "_BATCH_ROWS",
+                            trials_per_batch * LIGHT.n_particles)
+        assert whole == mc_rmse(sc, ue, mode, LIGHT, n_trials=6, seed=9)
+
+
+def test_mc_rmse_counts_failure_causes(monkeypatch):
+    sc = scenario_preset("corner-1fe")
+    ue = EXAMPLE_UES["corner-1fe"]
+    grid, calls = E.grid_init, []
+
+    def failing(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 3:
+            raise DegenerateGeometry("injected")
+        return grid(*args, **kwargs)
+
+    monkeypatch.setattr(E, "grid_init", failing)
+    r = mc_rmse(sc, ue, Mode.NOREM, LIGHT, n_trials=5, seed=4)
+    assert (r.n_trials, r.failures) == (5, 1)
+    assert r.failure_causes == {"DegenerateGeometry": 1}
+    assert math.isfinite(r.rmse_est)
+    with pytest.raises(ValueError):
+        McResult(1.0, 1.0, n_trials=3, failures=2, seed=0,
+                 failure_causes={"DegenerateGeometry": 1})
 
 
 def test_mc_result_validation():

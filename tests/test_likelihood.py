@@ -180,12 +180,37 @@ def test_engine_flags_degenerate_rows():
     assert ll[0] == pytest.approx(eng.log_norm - cost[0], rel=1e-12)
 
 
+@pytest.mark.parametrize("mode", [Mode.NOREM, Mode.REM])
+def test_engine_rows_do_not_depend_on_the_call(mode):
+    """A row's cost and linearization are the same bits alone and inside a
+    64-row call, and a row scored against observation k of a several-
+    observation engine matches an engine holding observation k alone."""
+    ps, theta = _truth(CORNER, UE)
+    zs = [synthesize(theta, ps, CORNER, seed) for seed in (21, 22, 23)]
+    eng = LikelihoodEngine(zs, CORNER, mode)
+    rng = np.random.default_rng(5)
+    rows = theta.to_array()[:eng.dim] + rng.normal(0.0, 2.0, (64, eng.dim))
+    obs = rng.integers(0, 3, 64)
+    cost, ok = eng.cost_valid(rows, obs)
+    lin = eng.linearize(rows, obs)
+    for k in range(64):
+        alone = LikelihoodEngine(zs[obs[k]], CORNER, mode)
+        c1, ok1 = alone.cost_valid(rows[k:k + 1])
+        assert c1[0] == cost[k] and ok1[0] == ok[k]
+        for got, want in zip(alone.linearize(rows[k:k + 1]), lin):
+            np.testing.assert_array_equal(got[0], want[k])
+    with pytest.raises(ValueError):
+        eng.cost_valid(rows)  # which observation is ambiguous
+    with pytest.raises(ValueError):
+        LikelihoodEngine([zs[0], zs[1].subset([0, 1])], CORNER, mode)
+
+
 def test_engine_whitening_consistency():
     ps, theta = _truth(CORNER, UE)
     z = synthesize(theta, ps, CORNER, 3)
     eng = LikelihoodEngine(z, CORNER, Mode.NOREM)
     pt = theta.to_array()[None, :] + 0.1
-    rw, Jw = eng.whitened_residual_and_jacobian(pt)
+    rw, Jw, _, _ = eng.linearize(pt)
     sig = np.sqrt(z.covariance_diag)
     np.testing.assert_allclose(rw[0] * sig, eng.residual(pt)[0], rtol=1e-12)
     J = jacobian(ParamVector.from_array(pt[0], Mode.NOREM), ps, CORNER)
