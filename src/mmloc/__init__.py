@@ -9,8 +9,7 @@ from .bounds import (CrbField, CrbReport, GridSpec, crb_grid, crb_report,
                      fisher, rmse_crb, rmse_crb_distance_only)
 from .errors import (AllTrialsFailed, ConfigError, DegenerateGeometry,
                      EmptyResult, ExperimentError, InsufficientPaths,
-                     MmlocError, SingularCovariance, SingularFisher,
-                     UndefinedAngle)
+                     MmlocError, SingularCovariance, SingularFisher)
 from .estimator import (EstimateReport, GapfConfig, ParticleSet,
                         check_sufficiency, default_search_box, estimate,
                         gapf_iterate, grid_init, initial_particles,
@@ -20,16 +19,15 @@ from .geometry import (PathDescriptor, PathKind, PathSet, Point2,
                        enumerate_paths, image_reflect, specular_point)
 from .harness import (EXAMPLE_UES, McResult, RemMap, SCENARIO_NAMES,
                       SweepResult, beamwidth_sweep, build_rem_map,
-                      cdf_curve, delta_field, grid_preset, mc_rmse,
+                      cdf_curve, grid_preset, mc_rmse,
                       rmse_from_estimates, scenario_preset, subset_indices,
                       trajectory_preset, trial_seeds, write_cdf_csv,
                       write_field_csv, write_remmap_csv, write_sweep_csv)
 from .likelihood import (LikelihoodEngine, jacobian, jacobian_fd,
                          log_likelihood, residual)
 from .measurement import (Mode, NoiseProfile, Observation, ParamVector,
-                          PROFILE_PRESETS, atan2q, classify_los, covariance,
-                          default_classifier_threshold, forward,
+                          PROFILE_PRESETS, covariance, forward,
                           noise_profile_preset, noiseless_observation,
-                          path_params, synthesize, wrap)
+                          synthesize, wrap)
 
 __version__ = "0.1.0"

@@ -15,8 +15,8 @@ import numpy as np
 
 from .errors import DegenerateGeometry, SingularFisher
 from .geometry import PathSet, Point2, Scenario, enumerate_paths
-from .measurement import (Mode, NoiseProfile, ParamVector, PathGeometry,
-                          covariance)
+from .likelihood import jacobian
+from .measurement import Mode, NoiseProfile, ParamVector, covariance
 
 COND_LIMIT = 1e12
 FE_MARGIN = 0.5  # meters; grid nodes this close to an FE are not evaluated
@@ -95,15 +95,13 @@ def fisher(theta: ParamVector, paths: PathSet, scenario: Scenario,
            profile: NoiseProfile) -> np.ndarray:
     """J^T R^-1 J with the analytic Jacobian; REM mode restricts the
     parameter space (and so the Jacobian columns) to the UE position."""
-    geom = PathGeometry(paths, scenario, theta.mode)
-    arr = theta.to_array()
-    if arr.size != geom.dim:
-        raise ValueError("parameter vector does not match the path set")
-    if not geom.valid(arr):
-        raise DegenerateGeometry("Fisher information undefined at degenerate geometry")
-    J = geom.jacobian(arr)
-    w = 1.0 / covariance(profile, paths.n_los, paths.n_nlos)
-    info = (J * w[:, None]).T @ J
+    return _information(jacobian(theta, paths, scenario),
+                        covariance(profile, paths.n_los, paths.n_nlos))
+
+
+def _information(J: np.ndarray, var: np.ndarray) -> np.ndarray:
+    """J^T diag(1 / var) J, symmetrized."""
+    info = (J * (1.0 / var)[:, None]).T @ J
     return 0.5 * (info + info.T)
 
 
@@ -116,6 +114,12 @@ def _invert_checked(info: np.ndarray) -> np.ndarray:
     return np.linalg.inv(info)
 
 
+def _position_rmse(info: np.ndarray) -> float:
+    """sqrt of the UE position entries of the inverse of info."""
+    inv = _invert_checked(info)
+    return math.sqrt(inv[0, 0] + inv[1, 1])
+
+
 def rmse_crb(theta: ParamVector, paths: PathSet, scenario: Scenario,
              profile: NoiseProfile, mode: Mode) -> float:
     """Lower bound on UE position RMSE at theta, in meters."""
@@ -126,8 +130,7 @@ def crb_report(theta: ParamVector, paths: PathSet, scenario: Scenario,
                profile: NoiseProfile, mode: Mode) -> CrbReport:
     th = _theta_for_mode(theta, paths, mode)
     info = fisher(th, paths, scenario, profile)
-    inv = _invert_checked(info)
-    return CrbReport(info, math.sqrt(inv[0, 0] + inv[1, 1]), mode)
+    return CrbReport(info, _position_rmse(info), mode)
 
 
 def rmse_crb_distance_only(theta: ParamVector, paths: PathSet,
@@ -136,16 +139,10 @@ def rmse_crb_distance_only(theta: ParamVector, paths: PathSet,
     """Position bound using only the distance measurements with known
     bounce points: the large-angle-noise floor of the REM bound."""
     th = _theta_for_mode(theta, paths, Mode.REM)
-    geom = PathGeometry(paths, scenario, Mode.REM)
-    arr = th.to_array()
-    if not geom.valid(arr):
-        raise DegenerateGeometry("bound undefined at degenerate geometry")
     n = paths.n_paths
-    J = geom.jacobian(arr)[2 * n:, :]
-    w = 1.0 / covariance(profile, paths.n_los, paths.n_nlos)[2 * n:]
-    info = (J * w[:, None]).T @ J
-    inv = _invert_checked(0.5 * (info + info.T))
-    return math.sqrt(inv[0, 0] + inv[1, 1])
+    J = jacobian(th, paths, scenario)[2 * n:]
+    var = covariance(profile, paths.n_los, paths.n_nlos)[2 * n:]
+    return _position_rmse(_information(J, var))
 
 
 def crb_grid(scenario: Scenario, ue_grid: GridSpec, profile: NoiseProfile,

@@ -10,10 +10,6 @@ class DegenerateGeometry(MmlocError):
     (coincident points, UE on or behind a wall, zero-length path leg)."""
 
 
-class UndefinedAngle(MmlocError):
-    """Angle of the zero vector requested."""
-
-
 class InsufficientPaths(MmlocError):
     """Path set cannot identify the UE (no LOS and fewer than two NLOS)."""
 

@@ -609,15 +609,16 @@ def gapf_iterate(sets: Sequence[ParticleSet], eng: LikelihoodEngine,
             for r, part in zip(res, parts)]
 
 
-def initial_particles(theta0: ParamVector, z: Observation,
-                      scenario: Scenario, cfg: GapfConfig) -> ParticleSet:
-    """Particle set seeded with n_particles copies of theta0."""
-    eng = LikelihoodEngine(z, scenario, theta0.mode)
-    arr = theta0.to_array()
-    ll0 = float(eng.log_likelihood(arr[None, :])[0])
-    states = np.tile(arr, (cfg.n_particles, 1))
-    weights = np.full(cfg.n_particles, 1.0 / cfg.n_particles)
-    return ParticleSet(states, weights, arr.copy(), ll0, theta0.mode, 0)
+def initial_particles(theta0s: Sequence[ParamVector], eng: LikelihoodEngine,
+                      cfg: GapfConfig) -> list[ParticleSet]:
+    """One particle set per observation of eng: set b holds n_particles
+    copies of theta0s[b], scored against observation b."""
+    arr = np.array([theta0.to_array() for theta0 in theta0s])
+    cost, _ = eng.cost_valid(arr, np.arange(len(arr)))
+    n = cfg.n_particles
+    return [ParticleSet(np.tile(row, (n, 1)), np.full(n, 1.0 / n), row.copy(),
+                        float(eng.log_norm - c), eng.geom.mode, 0)
+            for row, c in zip(arr, cost)]
 
 
 def estimate(z, scenario: Scenario, mode: Mode, cfg: GapfConfig,
@@ -650,18 +651,18 @@ def estimate(z, scenario: Scenario, mode: Mode, cfg: GapfConfig,
     if not zs:
         return out
     check_sufficiency(zs[0].paths)
-    live, sets = [], []
+    live, theta0s = [], []
     for b, zb in enumerate(zs):
         try:
-            theta0 = grid_init(zb, zb.paths, scenario, cfg, mode)
+            theta0s.append(grid_init(zb, zb.paths, scenario, cfg, mode))
         except MmlocError as err:
             out[b] = err
             continue
         live.append(b)
-        sets.append(initial_particles(theta0, zb, scenario, cfg))
     if not live:
         return out
     eng = LikelihoodEngine([zs[b] for b in live], scenario, mode)
+    sets = initial_particles(theta0s, eng, cfg)
     live_seeds = [seeds[b] for b in live]
     history = [[ps.best_ll] for ps in sets]
     for k in range(cfg.n_iterations):

@@ -133,17 +133,23 @@ class SweepResult:
 @dataclass(eq=False)
 class RemMap:
     """Scatterer positions recovered along a trajectory, each with the
-    trajectory point and measured path parameters that produced it."""
+    trajectory point and measured path parameters that produced it.
+    failures holds the indices of the trajectory points that failed, and
+    failure_causes counts them by exception type name."""
 
     estimated_scatterers: list
     source: list        # (trajectory Point2, path index in that point's path set)
     parameters: list    # measured (alpha, beta, d) per entry
     failures: tuple = ()
+    failure_causes: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if not (len(self.estimated_scatterers) == len(self.source)
                 == len(self.parameters)):
             raise ValueError("map columns must align")
+        if self.failure_causes and \
+                sum(self.failure_causes.values()) != len(self.failures):
+            raise ValueError("failure causes must add up to the failures")
 
 
 # --------------------------------------------------------------------------
@@ -349,17 +355,9 @@ def cdf_curve(scenario: Scenario, ue_grid: GridSpec,
     return out
 
 
-def delta_field(scenario: Scenario, ue_grid: GridSpec,
-                profile: NoiseProfile) -> CrbField:
-    """Pointwise bound improvement from knowing the bounce points."""
-    norem = crb_grid(scenario, ue_grid, profile, Mode.NOREM)
-    rem = crb_grid(scenario, ue_grid, profile, Mode.REM)
-    return CrbField(norem.xs, norem.ys, norem.values - rem.values,
-                    Mode.NOREM, label=f"delta-{profile.label}")
-
-
 class _MapRunner:
-    """Picklable per-point map-building step."""
+    """Picklable per-point map-building step; gives the point's map
+    entries, or the type name of the MmlocError that failed it."""
 
     def __init__(self, scenario, trajectory, cfg, seed):
         self.args = (scenario, tuple(trajectory), cfg, seed)
@@ -384,8 +382,8 @@ class _MapRunner:
                                        float(obs.beta[j]),
                                        float(obs.dist[j]))))
             return entries
-        except MmlocError:
-            return None
+        except MmlocError as err:
+            return type(err).__name__
 
 
 def build_rem_map(scenario: Scenario, trajectory: Sequence[Point2],
@@ -396,14 +394,16 @@ def build_rem_map(scenario: Scenario, trajectory: Sequence[Point2],
     outcomes = _run_all(runner, range(len(trajectory)), workers)
     scatterers, source, params, failures = [], [], [], []
     for i, entries in enumerate(outcomes):
-        if entries is None:
+        if isinstance(entries, str):
             failures.append(i)
             continue
         for s, j, meas in entries:
             scatterers.append(s)
             source.append((trajectory[i], j))
             params.append(meas)
-    return RemMap(scatterers, source, params, tuple(failures))
+    causes = dict(sorted(Counter(o for o in outcomes
+                                 if isinstance(o, str)).items()))
+    return RemMap(scatterers, source, params, tuple(failures), causes)
 
 
 # --------------------------------------------------------------------------

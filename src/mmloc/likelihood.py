@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .errors import DegenerateGeometry, SingularCovariance
+from .errors import SingularCovariance
 from .geometry import PathSet, Scenario
 from .measurement import (Mode, Observation, ParamVector, PathGeometry,
                           forward, wrap)
@@ -101,25 +101,25 @@ class LikelihoodEngine:
         return r_w, J_w, np.where(ok, cost, np.inf), ok
 
 
+def _one_row(z: Observation, theta: ParamVector,
+             scenario: Scenario) -> tuple[LikelihoodEngine, np.ndarray]:
+    """Engine holding z alone, in theta's mode, and theta as its one row."""
+    eng = LikelihoodEngine(z, scenario, theta.mode)
+    return eng, eng.geom.row(theta)[None, :]
+
+
 def residual(z: Observation, theta: ParamVector,
              scenario: Scenario) -> np.ndarray:
     """Measurement-minus-model vector with wrapped angle entries."""
-    h = forward(theta, z.paths, scenario)
-    r = z.z - h
-    n_angle = 2 * z.paths.n_paths
-    r[:n_angle] = wrap(r[:n_angle])
-    return r
+    eng, row = _one_row(z, theta, scenario)
+    return eng.residual(row)[0]
 
 
 def log_likelihood(z: Observation, theta: ParamVector,
                    scenario: Scenario) -> float:
     """Gaussian log-density of z under the forward model at theta."""
-    cov = np.asarray(z.covariance_diag, dtype=float)
-    if np.any(cov <= 0.0) or not np.all(np.isfinite(cov)):
-        raise SingularCovariance("covariance diagonal must be positive and finite")
-    r = residual(z, theta, scenario)
-    quad = float(np.sum(r * r / cov))
-    return -0.5 * (z.m * LOG_TWO_PI + float(np.sum(np.log(cov))) + quad)
+    eng, row = _one_row(z, theta, scenario)
+    return float(eng.log_likelihood(row)[0])
 
 
 def jacobian(theta: ParamVector, paths: PathSet,
@@ -129,12 +129,11 @@ def jacobian(theta: ParamVector, paths: PathSet,
     Rows follow measurement stacking (alphas, betas, distances); columns
     follow the flat parameter layout.  NLOS departure-angle rows have zero
     UE derivatives: the bounce point, not the UE, sets that bearing.
+    ValueError if theta does not match the path set, DegenerateGeometry
+    at a degenerate configuration.
     """
     geom = PathGeometry(paths, scenario, theta.mode)
-    arr = theta.to_array()
-    if not geom.valid(arr):
-        raise DegenerateGeometry("Jacobian requested at a degenerate configuration")
-    return geom.jacobian(arr)
+    return geom.jacobian(geom.row(theta))
 
 
 def jacobian_fd(theta: ParamVector, paths: PathSet, scenario: Scenario,

@@ -1,10 +1,13 @@
 """AOA/AOD/TOA measurement model.
 
-Angles are bearings measured from the +y axis, increasing toward +x, so a
-direction (dx, dy) has bearing atan2q(dx, dy).  Each path contributes three
-measurements: arrival angle at the UE (alpha), departure angle at the FE
-(beta), and total propagated distance (d).  Measurement vectors stack all
-alphas, then all betas, then all distances, in path-set order.
+Angles are bearings measured from the +y axis, increasing toward +x, in
+(-pi, pi]: a direction (dx, dy) has bearing arctan2(dx, dy), with due
+south read as +pi.  Each path contributes three measurements: arrival
+angle at the UE (alpha), departure angle at the FE (beta), and total
+propagated distance (d).  Measurement vectors stack all alphas, then all
+betas, then all distances, in path-set order.  PathGeometry is the one
+implementation of this model; forward evaluates it at one parameter
+vector.
 
 Noise is zero-mean Gaussian, independent across entries, with per-kind
 standard deviations taken from a NoiseProfile; angle noise wraps into
@@ -19,26 +22,13 @@ from typing import Union
 
 import numpy as np
 
-from .errors import DegenerateGeometry, UndefinedAngle
-from .geometry import PathDescriptor, PathKind, PathSet, Point2, Scenario
+from .errors import DegenerateGeometry
+from .geometry import PathKind, PathSet, Point2, Scenario
 
 TWO_PI = 2.0 * math.pi
 
 # squared-length floor below which a path leg counts as degenerate
 _DEGENERATE_EPS2 = 1e-18
-
-
-def atan2q(y: float, x: float) -> float:
-    """Quadrant-aware arctangent of y/x with range (-pi, pi].
-
-    Raises UndefinedAngle at the origin.
-    """
-    if x == 0.0 and y == 0.0:
-        raise UndefinedAngle("angle of the zero vector")
-    a = math.atan2(y, x)
-    if a == -math.pi:
-        a = math.pi
-    return a
 
 
 def wrap(x):
@@ -101,10 +91,6 @@ class NoiseProfile:
         s = math.radians(sigma_angle_deg)
         return cls(s, s, sigma_d, s, s, sigma_d,
                    label or f"equal-{sigma_angle_deg:g}deg")
-
-    def max_angle_sigma(self) -> float:
-        return max(self.sigma_alpha_los, self.sigma_beta_los,
-                   self.sigma_alpha_nlos, self.sigma_beta_nlos)
 
 
 PROFILE_PRESETS = {
@@ -232,44 +218,23 @@ def covariance(profile: NoiseProfile, n_los: int, n_nlos: int) -> np.ndarray:
     ])
 
 
-def path_params(theta: ParamVector, path: PathDescriptor,
-                scenario: Scenario) -> tuple[float, float, float]:
-    """Noise-free (alpha, beta, d) of one path at parameters theta."""
-    p = theta.ue
-    q = scenario.fes[path.fe_index]
-    if path.kind is PathKind.LOS:
-        d = p.distance_to(q)
-        if d * d <= _DEGENERATE_EPS2:
-            raise DegenerateGeometry("UE coincides with FE")
-        aim = q
-        dep = p
-    else:
-        if theta.mode is Mode.NOREM:
-            s = theta.scatterers[path.scatterer_index]
-        else:
-            s = path.true_scatterer
-            if s is None:
-                raise DegenerateGeometry("REM mode requires known scatterers")
-        leg_p = s.distance_to(p)
-        leg_q = s.distance_to(q)
-        if leg_p * leg_p <= _DEGENERATE_EPS2 or leg_q * leg_q <= _DEGENERATE_EPS2:
-            raise DegenerateGeometry("scatterer coincides with an endpoint")
-        d = leg_p + leg_q
-        aim = s
-        dep = s
-    alpha = atan2q(aim.x - p.x, aim.y - p.y)
-    beta = atan2q(dep.x - q.x, dep.y - q.y)
-    return alpha, beta, d
-
-
 def forward(theta: ParamVector, paths: PathSet,
             scenario: Scenario) -> np.ndarray:
-    """Noise-free stacked measurement vector h(theta)."""
-    if not theta.consistent_with(paths):
-        raise ValueError("parameter vector does not match the path set")
-    vals = [path_params(theta, path, scenario) for path in paths]
-    alpha, beta, dist = zip(*vals)
-    return np.concatenate([alpha, beta, dist]).astype(float)
+    """Noise-free stacked measurement vector h(theta).
+
+    ValueError if theta does not match the path set, DegenerateGeometry if
+    a path leg has zero length at theta."""
+    geom = PathGeometry(paths, scenario, theta.mode)
+    return geom.h(geom.row(theta))
+
+
+def _observation(z: np.ndarray, paths: PathSet,
+                 cov: np.ndarray) -> Observation:
+    """Observation of the stacked values z, angle entries wrapped into
+    [-pi, pi)."""
+    n = paths.n_paths
+    return Observation(alpha=wrap(z[:n]), beta=wrap(z[n:2 * n]),
+                       dist=z[2 * n:].copy(), covariance_diag=cov, paths=paths)
 
 
 def synthesize(theta_true: ParamVector, paths: PathSet, scenario: Scenario,
@@ -281,10 +246,8 @@ def synthesize(theta_true: ParamVector, paths: PathSet, scenario: Scenario,
     rng = np.random.default_rng(seed)
     h = forward(theta_true, paths, scenario)
     cov = covariance(scenario.noise_profile, paths.n_los, paths.n_nlos)
-    z = h + rng.normal(size=h.size) * np.sqrt(cov)
-    n = paths.n_paths
-    return Observation(alpha=wrap(z[:n]), beta=wrap(z[n:2 * n]),
-                       dist=z[2 * n:], covariance_diag=cov, paths=paths)
+    return _observation(h + rng.normal(size=h.size) * np.sqrt(cov), paths,
+                        cov)
 
 
 def noiseless_observation(theta_true: ParamVector, paths: PathSet,
@@ -292,23 +255,9 @@ def noiseless_observation(theta_true: ParamVector, paths: PathSet,
     """Observation whose values equal the forward model exactly; the
     covariance still comes from the scenario's noise profile, so the
     estimation objective is unchanged, only the realization is noise-free."""
-    h = forward(theta_true, paths, scenario)
-    cov = covariance(scenario.noise_profile, paths.n_los, paths.n_nlos)
-    n = paths.n_paths
-    return Observation(alpha=wrap(h[:n]), beta=wrap(h[n:2 * n]),
-                       dist=h[2 * n:].copy(), covariance_diag=cov, paths=paths)
-
-
-def classify_los(alpha: float, beta: float, xi: float) -> bool:
-    """LOS test from one (alpha, beta) pair: the two bearings of a direct
-    path are antipodal, so |wrap(alpha - beta)| sits at pi within xi."""
-    if xi < 0.0:
-        raise ValueError("threshold xi must be >= 0")
-    return abs(abs(wrap(alpha - beta)) - math.pi) <= xi
-
-
-def default_classifier_threshold(profile: NoiseProfile) -> float:
-    return 3.0 * profile.max_angle_sigma()
+    return _observation(forward(theta_true, paths, scenario), paths,
+                        covariance(scenario.noise_profile, paths.n_los,
+                                   paths.n_nlos))
 
 
 class PathGeometry:
@@ -407,6 +356,17 @@ class PathGeometry:
         """Boolean mask of parameter rows with no degenerate path leg."""
         _, _, e2, f2 = self._legs(thetas)
         return self._valid_from_legs(e2, f2)
+
+    def row(self, theta: ParamVector) -> np.ndarray:
+        """theta as one flat parameter row; ValueError if it does not match
+        the path set, DegenerateGeometry if a path leg has zero length."""
+        arr = theta.to_array()
+        if arr.size != self.dim:
+            raise ValueError("parameter vector does not match the path set")
+        if not self.valid(arr):
+            raise DegenerateGeometry(
+                "degenerate geometry: a path leg has zero length")
+        return arr
 
     def _jac_from_legs(self, batch, e, f, e2, f2) -> np.ndarray:
         n = self.n_paths

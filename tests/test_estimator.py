@@ -303,14 +303,18 @@ def test_joint_init_falls_back_when_no_ray_meets(pairs_scored):
 
 
 def test_initial_particles_are_copies_of_seed():
-    z, theta = _obs(seed=2)
+    (z, theta), (z2, _) = _obs(seed=2), _obs(seed=3)
+    theta2 = ParamVector.from_array(theta.to_array() + 0.5, Mode.NOREM)
     cfg = GapfConfig(n_particles=7)
-    ps = initial_particles(theta, z, CORNER, cfg)
-    assert ps.n_particles == 7
-    np.testing.assert_array_equal(ps.states, np.tile(theta.to_array(), (7, 1)))
-    np.testing.assert_allclose(ps.weights, 1.0 / 7.0)
+    eng = LikelihoodEngine([z, z2], CORNER, Mode.NOREM)
+    sets = initial_particles([theta, theta2], eng, cfg)
     from mmloc import log_likelihood
-    assert ps.best_ll == pytest.approx(log_likelihood(z, theta, CORNER))
+    for ps, th, zb in zip(sets, (theta, theta2), (z, z2)):
+        assert ps.n_particles == 7
+        np.testing.assert_array_equal(ps.states,
+                                      np.tile(th.to_array(), (7, 1)))
+        np.testing.assert_allclose(ps.weights, 1.0 / 7.0)
+        assert ps.best_ll == log_likelihood(zb, th, CORNER)
 
 
 # ---------------------------------------------------------------------------
@@ -320,8 +324,8 @@ def test_initial_particles_are_copies_of_seed():
 def test_iterate_output_is_normalized():
     z, theta = _obs(seed=4)
     cfg = GapfConfig(n_particles=12, rng_seed=5)
-    ps = initial_particles(grid_init(z, z.paths, CORNER, cfg), z, CORNER, cfg)
-    eng = LikelihoodEngine(z, CORNER, ps.mode)
+    eng = LikelihoodEngine(z, CORNER, Mode.NOREM)
+    [ps] = initial_particles([grid_init(z, z.paths, CORNER, cfg)], eng, cfg)
     [out] = gapf_iterate([ps], eng, cfg, [cfg.rng_seed], 0)
     assert out.weights.min() >= 0.0
     assert float(out.weights.sum()) == pytest.approx(1.0, abs=1e-12)

@@ -7,9 +7,9 @@ import pytest
 import mmloc.estimator as E
 import mmloc.harness as H
 from mmloc import (EXAMPLE_UES, SCENARIO_NAMES, DegenerateGeometry,
-                   GapfConfig, GridSpec, McResult, Mode, PathKind, Point2,
+                   GapfConfig, GridSpec, McResult, Mode, PathKind, Point2, RemMap,
                    beamwidth_sweep, build_rem_map, cdf_curve, crb_grid,
-                   delta_field, enumerate_paths, grid_preset, mc_rmse,
+                   enumerate_paths, grid_preset, mc_rmse,
                    noise_profile_preset, rmse_from_estimates,
                    scenario_preset, subset_indices, trajectory_preset,
                    write_cdf_csv, write_field_csv, write_remmap_csv,
@@ -237,17 +237,6 @@ def test_cdf_known_bounce_dominates(coarse_cdf):
     assert (rem <= norem + 1e-12).all()
 
 
-def test_delta_field_is_nonnegative():
-    sc = scenario_preset("corner-1fe")
-    grid = GridSpec(2.0, 18.0, 4.0, 48.0, 4.0)
-    field = delta_field(sc, grid, noise_profile_preset("73GHz"))
-    vals = field.values
-    finite = np.isfinite(vals)
-    assert finite.any()
-    assert (vals[finite] >= -1e-12).all()
-    assert field.label == "delta-73GHz"
-
-
 # ---------------------------------------------------------------------------
 # reflector mapping
 # ---------------------------------------------------------------------------
@@ -265,6 +254,27 @@ def test_build_rem_map_recovers_walls():
     for (ue, path_idx), (alpha, beta, d) in zip(rem.source, rem.parameters):
         assert ue in traj
         assert d > 0.0 and -math.pi <= alpha < math.pi
+
+
+def test_build_rem_map_counts_failure_causes(monkeypatch):
+    sc = scenario_preset("corner-2fe")
+    traj = trajectory_preset("corner-2fe", n_points=4)
+    grid, calls = E.grid_init, []
+
+    def failing(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 2:
+            raise DegenerateGeometry("injected")
+        return grid(*args, **kwargs)
+
+    monkeypatch.setattr(E, "grid_init", failing)
+    rem = build_rem_map(sc, traj, LIGHT, seed=5)
+    assert rem.failures == (1,)
+    assert rem.failure_causes == {"DegenerateGeometry": 1}
+    assert {ue for ue, _ in rem.source} == {traj[0], traj[2], traj[3]}
+    with pytest.raises(ValueError):
+        RemMap([], [], [], failures=(0, 1),
+               failure_causes={"DegenerateGeometry": 1})
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,13 @@ import math
 import numpy as np
 import pytest
 
+import scalar_model as ref
 from mmloc import (DegenerateGeometry, LikelihoodEngine, Mode, NoiseProfile,
-                   ParamVector, Point2, ReflectiveSide, Scenario, Wall,
-                   WallAxis, covariance, enumerate_paths, jacobian,
-                   jacobian_fd, log_likelihood, noise_profile_preset,
-                   noiseless_observation, residual, synthesize)
+                   Observation, ParamVector, Point2, ReflectiveSide, Scenario,
+                   SingularCovariance, Wall, WallAxis, covariance,
+                   enumerate_paths, jacobian, jacobian_fd, log_likelihood,
+                   noise_profile_preset, noiseless_observation, residual,
+                   synthesize)
 
 PROF = noise_profile_preset("73GHz")
 
@@ -153,15 +155,39 @@ def test_score_matches_likelihood_gradient():
 # ---------------------------------------------------------------------------
 
 def test_engine_matches_scalar_likelihood():
+    """The engine against the scalar per-path reference; the one-row
+    log_likelihood and residual are the engine's rows, bit for bit."""
+    rng = np.random.default_rng(0)
+    for mode in (Mode.NOREM, Mode.REM):
+        ps, theta = _truth(CORNER, UE, mode)
+        z = synthesize(theta, ps, CORNER, 11)
+        eng = LikelihoodEngine(z, CORNER, mode)
+        batch = theta.to_array() + rng.normal(0.0, 1.0, size=(32, eng.dim))
+        ll = eng.log_likelihood(batch)
+        res = eng.residual(batch)
+        for row, want, r in zip(batch, ll, res):
+            th = ParamVector.from_array(row, mode)
+            assert ref.log_likelihood(z, th, CORNER) == pytest.approx(
+                want, rel=1e-12, abs=1e-9)
+            assert log_likelihood(z, th, CORNER) == want
+            np.testing.assert_array_equal(residual(z, th, CORNER), r)
+
+
+def test_one_row_calls_raise_typed_errors():
     ps, theta = _truth(CORNER, UE)
     z = synthesize(theta, ps, CORNER, 11)
-    eng = LikelihoodEngine(z, CORNER, Mode.NOREM)
-    rng = np.random.default_rng(0)
-    batch = theta.to_array() + rng.normal(0.0, 1.0, size=(32, eng.dim))
-    ll = eng.log_likelihood(batch)
-    for row, want in zip(batch, ll):
-        got = log_likelihood(z, ParamVector.from_array(row, Mode.NOREM), CORNER)
-        assert got == pytest.approx(want, rel=1e-12, abs=1e-9)
+    on_fe = ParamVector(Point2(18.0, 10.0), theta.scatterers, Mode.NOREM)
+    short = ParamVector(UE, theta.scatterers[:1], Mode.NOREM)
+    bad_cov = Observation(z.alpha, z.beta, z.dist,
+                          np.where(np.arange(z.m) == 4, 0.0,
+                                   z.covariance_diag), ps)
+    for fn in (residual, log_likelihood):
+        with pytest.raises(DegenerateGeometry):
+            fn(z, on_fe, CORNER)
+        with pytest.raises(ValueError):
+            fn(z, short, CORNER)
+        with pytest.raises(SingularCovariance):
+            fn(bad_cov, theta, CORNER)
 
 
 def test_engine_flags_degenerate_rows():

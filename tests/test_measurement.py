@@ -1,5 +1,5 @@
-"""Bearing conventions, angle wrapping, the forward measurement model,
-noise synthesis, and the LOS/NLOS classifier."""
+"""Bearing conventions, angle wrapping, the forward measurement model
+against the scalar per-path reference, noise synthesis."""
 import math
 
 import numpy as np
@@ -7,12 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import scalar_model as ref
 from mmloc import (DegenerateGeometry, Mode, NoiseProfile, ParamVector,
-                   PathDescriptor, PathKind, Point2, ReflectiveSide,
-                   Scenario, UndefinedAngle, Wall, WallAxis, atan2q,
-                   classify_los, covariance, default_classifier_threshold,
-                   enumerate_paths, forward, noise_profile_preset,
-                   noiseless_observation, path_params, synthesize, wrap)
+                   PathKind, Point2, ReflectiveSide, Scenario, Wall, WallAxis,
+                   covariance, enumerate_paths, forward, noise_profile_preset,
+                   noiseless_observation, synthesize, wrap)
 
 PROF = noise_profile_preset("73GHz")
 
@@ -27,16 +26,38 @@ CORNER = Scenario(
 # ---------------------------------------------------------------------------
 
 def test_atan2q_cardinal_directions():
-    # bearings measured from the +y axis, clockwise toward +x
-    assert atan2q(0.0, 1.0) == 0.0            # north
-    assert atan2q(1.0, 0.0) == math.pi / 2    # east
-    assert atan2q(0.0, -1.0) == math.pi       # south maps to +pi, not -pi
-    assert atan2q(-1.0, 0.0) == -math.pi / 2  # west
+    # bearings measured from the +y axis, clockwise toward +x: the arrival
+    # angle of a direct path is the FE's bearing seen from the UE, and the
+    # departure angle the reverse bearing.  Due south reads +pi, not -pi,
+    # also where a signed zero would send arctan2 to -pi.
+    south = math.pi
+    for fe, ue, alpha, beta in [
+            (Point2(0.0, 0.0), Point2(0.0, -3.0), 0.0, south),
+            (Point2(0.0, 0.0), Point2(-3.0, 0.0), math.pi / 2, -math.pi / 2),
+            (Point2(0.0, 0.0), Point2(0.0, 3.0), south, 0.0),
+            (Point2(0.0, 0.0), Point2(3.0, 0.0), -math.pi / 2, math.pi / 2),
+            (Point2(-0.0, 0.0), Point2(0.0, 3.0), south, 0.0),
+            (Point2(0.0, 0.0), Point2(-0.0, -3.0), 0.0, south)]:
+        sc = Scenario((Wall(WallAxis.VERTICAL, -5.0,
+                            ReflectiveSide.POSITIVE),), (fe,), PROF)
+        ps = enumerate_paths(sc, ue).subset([0])
+        theta = ParamVector(ue, (), Mode.REM)
+        assert tuple(forward(theta, ps, sc)) == (alpha, beta, 3.0)
+        assert tuple(ref.forward(theta, ps, sc)) == (alpha, beta, 3.0)
 
 
 def test_atan2q_at_origin_raises():
-    with pytest.raises(UndefinedAngle):
-        atan2q(0.0, 0.0)
+    # a bounce point on the UE or on its FE leaves a bearing of the zero
+    # vector: the model refuses it rather than returning arctan2(0, 0)
+    ps = enumerate_paths(CORNER, Point2(8.0, 35.0))
+    truth = ParamVector.truth_from_paths(Point2(8.0, 35.0), ps, Mode.NOREM)
+    for at in (truth.ue, CORNER.fes[0]):
+        theta = ParamVector(truth.ue, (at,) + truth.scatterers[1:],
+                            Mode.NOREM)
+        with pytest.raises(DegenerateGeometry):
+            forward(theta, ps, CORNER)
+    with pytest.raises(ref.UndefinedAngle):
+        ref.atan2q(0.0, 0.0)
 
 
 def test_wrap_edges():
@@ -55,7 +76,7 @@ def test_wrap_image_and_periodicity(x, k):
 
 
 # ---------------------------------------------------------------------------
-# per-path forward model
+# forward model
 # ---------------------------------------------------------------------------
 
 def test_los_path_params():
@@ -63,7 +84,7 @@ def test_los_path_params():
                   (Point2(0.0, 0.0),), PROF)
     ps = enumerate_paths(sc, Point2(0.0, 10.0)).subset([0])
     theta = ParamVector.truth_from_paths(Point2(0.0, 10.0), ps, Mode.NOREM)
-    alpha, beta, d = path_params(theta, ps[0], sc)
+    alpha, beta, d = forward(theta, ps, sc)
     assert alpha == math.pi       # UE looks due south at the FE
     assert beta == 0.0            # FE looks due north at the UE
     assert d == 10.0
@@ -75,14 +96,16 @@ def test_nlos_path_params_oracle():
     wall = Wall(WallAxis.VERTICAL, 0.0, ReflectiveSide.POSITIVE)
     sc = Scenario((wall,), (Point2(5.0, 5.0),), PROF)
     ps = enumerate_paths(sc, Point2(5.0, 15.0))
-    nlos = [p for p in ps if p.kind is PathKind.NLOS]
+    nlos = [j for j, p in enumerate(ps) if p.kind is PathKind.NLOS]
     assert len(nlos) == 1
-    assert nlos[0].true_scatterer == Point2(0.0, 10.0)
-    theta = ParamVector.truth_from_paths(Point2(5.0, 15.0), ps, Mode.NOREM)
-    alpha, beta, d = path_params(theta, nlos[0], sc)
-    assert alpha == pytest.approx(-3.0 * math.pi / 4.0, abs=1e-12)
-    assert beta == pytest.approx(-math.pi / 4.0, abs=1e-12)
-    assert d == pytest.approx(10.0 * math.sqrt(2.0), abs=1e-12)
+    assert ps[nlos[0]].true_scatterer == Point2(0.0, 10.0)
+    for mode in (Mode.NOREM, Mode.REM):
+        theta = ParamVector.truth_from_paths(Point2(5.0, 15.0), ps, mode)
+        h = forward(theta, ps, sc)
+        j, n = nlos[0], ps.n_paths
+        assert h[j] == pytest.approx(-3.0 * math.pi / 4.0, abs=1e-12)
+        assert h[n + j] == pytest.approx(-math.pi / 4.0, abs=1e-12)
+        assert h[2 * n + j] == pytest.approx(10.0 * math.sqrt(2.0), abs=1e-12)
 
 
 def test_forward_stacks_los_first_blocks():
@@ -90,17 +113,75 @@ def test_forward_stacks_los_first_blocks():
     theta = ParamVector.truth_from_paths(Point2(8.0, 35.0), ps, Mode.NOREM)
     h = forward(theta, ps, CORNER)
     assert h.shape == (9,)
-    a0, b0, d0 = path_params(theta, ps[0], CORNER)
-    a2, b2, d2 = path_params(theta, ps[2], CORNER)
-    assert h[0] == a0 and h[3] == b0 and h[6] == d0
-    assert h[2] == a2 and h[5] == b2 and h[8] == d2
+    a0, b0, d0 = ref.path_params(theta, ps[0], CORNER)
+    a2, b2, d2 = ref.path_params(theta, ps[2], CORNER)
+    np.testing.assert_allclose([h[0], h[3], h[6]], [a0, b0, d0], atol=1e-12)
+    np.testing.assert_allclose([h[2], h[5], h[8]], [a2, b2, d2], atol=1e-12)
 
 
 def test_path_params_degenerate_raises():
     ps = enumerate_paths(CORNER, Point2(8.0, 35.0))
     theta = ParamVector(Point2(18.0, 10.0), (), Mode.REM)  # UE on the FE
     with pytest.raises(DegenerateGeometry):
-        path_params(theta, ps[0], CORNER)
+        forward(theta, ps, CORNER)
+    with pytest.raises(ValueError):  # NoREM needs one bounce point per NLOS path
+        forward(ParamVector(Point2(8.0, 35.0), (), Mode.NOREM), ps, CORNER)
+
+
+_WALL_SETS = {
+    "one wall": (Wall(WallAxis.VERTICAL, 0.0, ReflectiveSide.POSITIVE),),
+    "corner": (Wall(WallAxis.VERTICAL, 0.0, ReflectiveSide.POSITIVE),
+               Wall(WallAxis.HORIZONTAL, 0.0, ReflectiveSide.POSITIVE)),
+    "canyon": (Wall(WallAxis.VERTICAL, 0.0, ReflectiveSide.POSITIVE),
+               Wall(WallAxis.VERTICAL, 20.0, ReflectiveSide.NEGATIVE)),
+}
+
+
+def _random_point(rng) -> Point2:
+    return Point2(float(rng.uniform(1.0, 19.0)), float(rng.uniform(1.0, 49.0)))
+
+
+@pytest.mark.parametrize("walls", sorted(_WALL_SETS))
+def test_forward_matches_scalar_reference(walls):
+    """forward (PathGeometry) against the scalar per-path reference at
+    random parameter vectors of random scenes with one or two FEs, in both
+    modes, to 1e-12 (angles compared through wrap); and both refuse a UE
+    on an FE and a bounce point on either end of its path."""
+    rng = np.random.default_rng(17)
+    for n_fes in (1, 2):
+        for _ in range(12):
+            sc = Scenario(_WALL_SETS[walls],
+                          tuple(_random_point(rng) for _ in range(n_fes)),
+                          PROF)
+            ue = _random_point(rng)
+            ps = enumerate_paths(sc, ue)
+            near = Point2(ue.x + float(rng.normal()), ue.y + float(rng.normal()))
+            scat = tuple(Point2(s.x + float(rng.normal(0.0, 3.0)),
+                                s.y + float(rng.normal(0.0, 3.0)))
+                         for s in ps.true_scatterers())
+            n = ps.n_paths
+            for theta in (ParamVector(near, scat, Mode.NOREM),
+                          ParamVector(near, (), Mode.REM)):
+                h = forward(theta, ps, sc)
+                want = ref.forward(theta, ps, sc)
+                np.testing.assert_allclose(wrap(h[:2 * n] - want[:2 * n]), 0.0,
+                                           rtol=0.0, atol=1e-12)
+                np.testing.assert_allclose(h[2 * n:], want[2 * n:],
+                                           rtol=0.0, atol=1e-12)
+            bad = [theta for fe in sc.fes
+                   for theta in (ParamVector(fe, scat, Mode.NOREM),
+                                 ParamVector(fe, (), Mode.REM))]
+            for p in ps:
+                if p.kind is PathKind.NLOS:
+                    for end in (near, sc.fes[p.fe_index]):
+                        moved = list(scat)
+                        moved[p.scatterer_index] = end
+                        bad.append(ParamVector(near, tuple(moved), Mode.NOREM))
+            for theta in bad:
+                with pytest.raises(DegenerateGeometry):
+                    forward(theta, ps, sc)
+                with pytest.raises(DegenerateGeometry):
+                    ref.forward(theta, ps, sc)
 
 
 # ---------------------------------------------------------------------------
@@ -221,27 +302,3 @@ def test_observation_subset():
     np.testing.assert_array_equal(sub.alpha, z.alpha[[0, 2]])
     np.testing.assert_array_equal(sub.dist, z.dist[[0, 2]])
     assert sub.paths.n_paths == 2
-
-
-# ---------------------------------------------------------------------------
-# LOS/NLOS classifier
-# ---------------------------------------------------------------------------
-
-def test_classifier_on_exact_paths():
-    ps = enumerate_paths(CORNER, Point2(8.0, 35.0))
-    theta = ParamVector.truth_from_paths(Point2(8.0, 35.0), ps, Mode.NOREM)
-    xi = default_classifier_threshold(CORNER.noise_profile)
-    for p in ps:
-        alpha, beta, _ = path_params(theta, p, CORNER)
-        assert classify_los(alpha, beta, xi) == (p.kind is PathKind.LOS)
-
-
-@given(x=st.floats(-40.0, 40.0), y=st.floats(-40.0, 40.0),
-       qx=st.floats(-40.0, 40.0), qy=st.floats(-40.0, 40.0))
-@settings(max_examples=100, deadline=None)
-def test_noise_free_los_always_classifies_los(x, y, qx, qy):
-    if math.hypot(x - qx, y - qy) < 1e-6:
-        return
-    alpha = atan2q(qx - x, qy - y)
-    beta = atan2q(x - qx, y - qy)
-    assert classify_los(alpha, beta, 1e-9)
