@@ -127,14 +127,25 @@ def check_sufficiency(paths: PathSet) -> None:
 def _solve_rows(damped: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Each row's damped system solved on its own, with the pseudo-inverse
     only where that row's own solve fails, so one singular system cannot
-    change the other rows' steps."""
+    change the other rows' steps.  A row whose pseudo-inverse fails too
+    gets a non-finite step, which the caller rejects."""
     step = np.empty_like(g)
     for k in range(len(g)):
         try:
             step[k] = np.linalg.solve(damped[k], g[k, :, None])[:, 0]
         except np.linalg.LinAlgError:
-            step[k] = np.linalg.pinv(damped[k]) @ g[k]
+            try:
+                step[k] = np.linalg.pinv(damped[k]) @ g[k]
+            except np.linalg.LinAlgError:
+                step[k] = np.nan
     return step
+
+
+def _normal_equations(eng: LikelihoodEngine, x: np.ndarray, obs: np.ndarray):
+    """(J^T J, J^T r, cost, valid) of the whitened problem at each row."""
+    r, J, cost, ok = eng.linearize(x, obs)
+    Jt = J.transpose(0, 2, 1)
+    return Jt @ J, (Jt @ r[:, :, None])[:, :, 0], cost, ok
 
 
 def _lm_refine_batch(eng: LikelihoodEngine, thetas: np.ndarray,
@@ -148,11 +159,15 @@ def _lm_refine_batch(eng: LikelihoodEngine, thetas: np.ndarray,
     keeps its own damping and stopping state, so a row's result does not
     depend on the other rows.
 
+    A row's normal equations are formed when it is linearized, at the start
+    and after each accepted step it does not stop on; a rejected step only
+    raises the row's damping.
+
     Returns (states, cost) with cost = -(log_likelihood - log_norm)."""
     x = np.array(thetas, dtype=float)
     n, dim = x.shape
     obs = np.zeros(n, dtype=int) if obs is None else np.asarray(obs)
-    r, J, cost, ok = eng.linearize(x, obs)
+    A, g, cost, ok = _normal_equations(eng, x, obs)
     lam = np.full(n, _LAMBDA_INIT)
     active = ok.copy()
     ii = np.arange(dim)
@@ -160,24 +175,20 @@ def _lm_refine_batch(eng: LikelihoodEngine, thetas: np.ndarray,
         idx = np.nonzero(active)[0]
         if idx.size == 0:
             break
-        Ja = J[idx]
-        A = np.einsum("pmi,pmj->pij", Ja, Ja)
-        g = np.einsum("pmi,pm->pi", Ja, r[idx])
         # stationary rows are done regardless of damping state
-        flat = np.max(np.abs(g), axis=1) < _GRAD_TOL
+        flat = np.max(np.abs(g[idx]), axis=1) < _GRAD_TOL
         if flat.any():
             active[idx[flat]] = False
             idx = idx[~flat]
             if idx.size == 0:
                 continue
-            A, g = A[~flat], g[~flat]
-        diag = np.einsum("pii->pi", A)
-        damped = A.copy()
+        damped = A[idx]
+        diag = damped[:, ii, ii]
         damped[:, ii, ii] = diag + lam[idx, None] * np.maximum(diag, 1e-12)
         try:
-            step = np.linalg.solve(damped, g[..., None])[..., 0]
+            step = np.linalg.solve(damped, g[idx, :, None])[..., 0]
         except np.linalg.LinAlgError:
-            step = _solve_rows(damped, g)
+            step = _solve_rows(damped, g[idx])
         step_ok = np.all(np.isfinite(step), axis=1)
         cand = x[idx] + np.where(step_ok[:, None], step, 0.0)
         cand_cost, _ = eng.cost_valid(cand, obs[idx])
@@ -192,7 +203,8 @@ def _lm_refine_batch(eng: LikelihoodEngine, thetas: np.ndarray,
             active[acc[small]] = False
             live = acc[~small]
             if live.size:
-                r[live], J[live], _, _ = eng.linearize(x[live], obs[live])
+                A[live], g[live], _, _ = _normal_equations(eng, x[live],
+                                                           obs[live])
         rej = idx[~improved]
         lam[rej] *= 10.0
         active[rej[lam[rej] > _LAMBDA_MAX]] = False

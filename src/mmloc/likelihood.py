@@ -133,7 +133,7 @@ def jacobian(theta: ParamVector, paths: PathSet,
     at a degenerate configuration.
     """
     geom = PathGeometry(paths, scenario, theta.mode)
-    return geom.jacobian(geom.row(theta))
+    return geom.h_jacobian_valid(geom.row(theta))[1]
 
 
 def jacobian_fd(theta: ParamVector, paths: PathSet, scenario: Scenario,

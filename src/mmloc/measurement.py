@@ -267,81 +267,98 @@ class PathGeometry:
     batches of flat parameter arrays at once; every method accepts thetas
     of shape (..., dim).  Outputs for invalid (degenerate) parameter rows
     are unspecified; callers mask them via valid().
+
+    A path's alpha is the bearing of its aim leg e = aim - ue (aim: the
+    bounce point, or the FE of a LOS path), its beta that of its departure
+    leg f = dep - fe (dep: the bounce point, or the UE), and its distance
+    |f|, plus |e| for an NLOS path.  Every leg is affine in theta: the x
+    and y parts of the 2n legs are X = theta @ Mx + cx, Y = theta @ My + cy
+    with 0/+-1 matrices Mx, My (columns: n aim legs, then n departure
+    legs).  The FEs, and in REM the known bounce points, are constants in
+    cx, cy, so REM is NoREM with the bounce-point columns fixed.  With
+    q = X^2 + Y^2, [alpha | beta] = arctan2(X, Y), the angle rows of J are
+    (Y Mx^T - X My^T) / q and the distance rows (X Mx^T + Y My^T) / sqrt(q),
+    summed over an NLOS path's two legs: one product of
+    [Y/q | X/q | X/|leg| | Y/|leg|] with a fixed 0/+-1 matrix.  No sum here
+    has more than two nonzero terms, each an exact product with +-1, so no
+    value depends on the summation order or on the batch.
     """
 
     def __init__(self, paths: PathSet, scenario: Scenario, mode: Mode):
         self.mode = mode
-        self.n_los = paths.n_los
-        self.n_nlos = paths.n_nlos
-        self.n_paths = paths.n_paths
-        self.m = 3 * self.n_paths
-        self.n_scat = self.n_nlos if mode is Mode.NOREM else 0
-        self.dim = 2 + 2 * self.n_scat
-        self.fe_xy = np.array([[scenario.fes[p.fe_index].x,
-                                scenario.fes[p.fe_index].y] for p in paths])
-        self.is_nlos = np.array([p.kind is PathKind.NLOS for p in paths])
-        slot = np.array([p.scatterer_index if p.kind is PathKind.NLOS else -1
-                         for p in paths], dtype=int)
-        self._slot = slot
-        if mode is Mode.REM and self.n_nlos > 0:
-            scat = paths.true_scatterers()
-            self._fixed_scat = np.zeros((self.n_paths, 2))
-            self._fixed_scat[self.is_nlos] = [[s.x, s.y] for s in scat]
-        else:
-            self._fixed_scat = None
-        # gather columns for scatterer coordinates; LOS rows point at a
-        # dummy slot and are masked out afterwards
-        safe = np.where(slot >= 0, slot, 0)
-        self._sx_cols = 2 + safe
-        self._sy_cols = 2 + self.n_scat + safe
-        self._nlos_idx = np.nonzero(self.is_nlos)[0]
-        self._los_idx = np.nonzero(~self.is_nlos)[0]
-
-    # -- internal resolved points ------------------------------------------
-
-    def _points(self, thetas: np.ndarray):
-        """Per-path aim points A (alpha target) and departure points W."""
-        thetas = np.asarray(thetas, dtype=float)
-        p = thetas[..., 0:2]
-        if self.mode is Mode.NOREM and self.n_nlos > 0:
-            sx = thetas[..., self._sx_cols]
-            sy = thetas[..., self._sy_cols]
-            s = np.stack([sx, sy], axis=-1)
-        elif self._fixed_scat is not None:
-            s = np.broadcast_to(self._fixed_scat,
-                                thetas.shape[:-1] + self._fixed_scat.shape)
-        else:
-            s = np.broadcast_to(self.fe_xy,
-                                thetas.shape[:-1] + self.fe_xy.shape)
-        mask = self.is_nlos[:, None]
-        a = np.where(mask, s, self.fe_xy)
-        w = np.where(mask, s, p[..., None, :])
-        return p, a, w
+        n = self.n_paths = paths.n_paths
+        self.m = 3 * n
+        n_scat = paths.n_nlos if mode is Mode.NOREM else 0
+        self.dim = 2 + 2 * n_scat
+        known = paths.true_scatterers() if mode is Mode.REM else ()
+        # per leg column: its theta coefficients and constant, for x and y
+        mx = [[0.0] * (2 * n) for _ in range(self.dim)]
+        my = [[0.0] * (2 * n) for _ in range(self.dim)]
+        cx, cy = [0.0] * (2 * n), [0.0] * (2 * n)
+        ue = (0, 1)  # theta columns of a point, or a fixed Point2
+        for j, p in enumerate(paths):
+            fe = scenario.fes[p.fe_index]
+            if p.kind is PathKind.LOS:
+                aim, dep = fe, ue
+            elif mode is Mode.NOREM:
+                k = p.scatterer_index
+                aim = dep = (2 + k, 2 + n_scat + k)
+            else:
+                aim = dep = known[p.scatterer_index]
+            # leg column col = head - tail
+            for col, head, tail in ((j, aim, ue), (n + j, dep, fe)):
+                for point, sign in ((head, 1.0), (tail, -1.0)):
+                    if isinstance(point, Point2):
+                        cx[col] += sign * point.x
+                        cy[col] += sign * point.y
+                    else:
+                        mx[point[0]][col] += sign
+                        my[point[1]][col] += sign
+        self._mx, self._my = np.array(mx), np.array(my)
+        self._cx, self._cy = np.array(cx), np.array(cy)
+        # legs whose length adds to their path's distance: the aim leg of
+        # an NLOS path, and every departure leg
+        summed = np.array([j for j, p in enumerate(paths)
+                           if p.kind is PathKind.NLOS] + list(range(n, 2 * n)))
+        path = summed % n
+        self._dist = np.zeros((2 * n, n))
+        self._dist[summed, path] = 1.0
+        # J = [Y/q | X/q | X/|leg| | Y/|leg|] @ _jac: a leg's partials go
+        # to its alpha or beta row, and to its path's distance row
+        jac = np.zeros((4, 2 * n, self.m, self.dim))
+        legs = np.arange(2 * n)
+        jac[0, legs, legs] = self._mx.T
+        jac[1, legs, legs] = -self._my.T
+        jac[2, summed, 2 * n + path] = self._mx.T[summed]
+        jac[3, summed, 2 * n + path] = self._my.T[summed]
+        self._jac = jac.reshape(8 * n, self.m * self.dim)
 
     def _legs(self, thetas: np.ndarray):
-        """Shared per-path leg vectors: e = aim - ue, f = departure - fe."""
-        p, a, w = self._points(thetas)
-        e = a - p[..., None, :]
-        f = w - self.fe_xy
-        e2 = np.einsum("...i,...i->...", e, e)
-        f2 = np.einsum("...i,...i->...", f, f)
-        return e, f, e2, f2
+        """Leg parts X, Y and squared lengths q, each (..., 2 * n_paths)."""
+        thetas = np.asarray(thetas, dtype=float)
+        with np.errstate(invalid="ignore", over="ignore"):
+            X = thetas @ self._mx + self._cx
+            Y = thetas @ self._my + self._cy
+            return X, Y, X * X + Y * Y
 
     @staticmethod
-    def _valid_from_legs(e2: np.ndarray, f2: np.ndarray) -> np.ndarray:
-        ok = (e2 > _DEGENERATE_EPS2) & (f2 > _DEGENERATE_EPS2)
-        return np.all(ok & np.isfinite(e2) & np.isfinite(f2), axis=-1)
+    def _valid_from_legs(q: np.ndarray) -> np.ndarray:
+        return np.all((q > _DEGENERATE_EPS2) & np.isfinite(q), axis=-1)
 
-    def _h_from_legs(self, e, f, e2, f2) -> np.ndarray:
+    def _h_from_legs(self, X, Y, q) -> np.ndarray:
+        with np.errstate(invalid="ignore"):
+            angle = np.arctan2(X, Y)
+            dist = np.sqrt(q) @ self._dist
+        angle[angle == -np.pi] = np.pi
+        return np.concatenate([angle, dist], axis=-1)
+
+    def _jac_from_legs(self, X, Y, q) -> np.ndarray:
         with np.errstate(invalid="ignore", divide="ignore"):
-            alpha = np.arctan2(e[..., 0], e[..., 1])
-            beta = np.arctan2(f[..., 0], f[..., 1])
-            le = np.sqrt(e2)
-            lf = np.sqrt(f2)
-        alpha = np.where(alpha == -np.pi, np.pi, alpha)
-        beta = np.where(beta == -np.pi, np.pi, beta)
-        dist = np.where(self.is_nlos, le + lf, lf)
-        return np.concatenate([alpha, beta, dist], axis=-1)
+            length = np.sqrt(q)
+            partials = np.concatenate([Y / q, X / q, X / length, Y / length],
+                                      axis=-1)
+            J = partials @ self._jac
+        return J.reshape(X.shape[:-1] + (self.m, self.dim))
 
     def h(self, thetas: np.ndarray) -> np.ndarray:
         """Stacked measurement vectors, shape (..., 3 * n_paths)."""
@@ -349,13 +366,12 @@ class PathGeometry:
 
     def h_valid(self, thetas: np.ndarray):
         """(h, validity mask) in one geometry pass."""
-        e, f, e2, f2 = self._legs(thetas)
-        return self._h_from_legs(e, f, e2, f2), self._valid_from_legs(e2, f2)
+        X, Y, q = self._legs(thetas)
+        return self._h_from_legs(X, Y, q), self._valid_from_legs(q)
 
     def valid(self, thetas: np.ndarray) -> np.ndarray:
         """Boolean mask of parameter rows with no degenerate path leg."""
-        _, _, e2, f2 = self._legs(thetas)
-        return self._valid_from_legs(e2, f2)
+        return self._valid_from_legs(self._legs(thetas)[2])
 
     def row(self, theta: ParamVector) -> np.ndarray:
         """theta as one flat parameter row; ValueError if it does not match
@@ -368,52 +384,10 @@ class PathGeometry:
                 "degenerate geometry: a path leg has zero length")
         return arr
 
-    def _jac_from_legs(self, batch, e, f, e2, f2) -> np.ndarray:
-        n = self.n_paths
-        with np.errstate(invalid="ignore", divide="ignore"):
-            ue = e / np.sqrt(e2)[..., None]   # unit aim vector
-            uf = f / np.sqrt(f2)[..., None]   # unit departure vector
-            J = np.zeros(batch + (self.m, self.dim))
-            rows = np.arange(n)
-            # alpha rows: d alpha / d p = (-e_y, e_x) / |e|^2 for every path
-            J[..., rows, 0] = -e[..., 1] / e2
-            J[..., rows, 1] = e[..., 0] / e2
-            # beta rows: LOS depends on p, NLOS rows are all-zero in p
-            lo = self._los_idx
-            J[..., n + lo, 0] = f[..., lo, 1] / f2[..., lo]
-            J[..., n + lo, 1] = -f[..., lo, 0] / f2[..., lo]
-            # distance rows
-            J[..., 2 * n + lo, 0] = uf[..., lo, 0]
-            J[..., 2 * n + lo, 1] = uf[..., lo, 1]
-            ni = self._nlos_idx
-            J[..., 2 * n + ni, 0] = -ue[..., ni, 0]
-            J[..., 2 * n + ni, 1] = -ue[..., ni, 1]
-            if self.mode is Mode.NOREM and self.n_nlos > 0:
-                xc = self._sx_cols[ni]
-                yc = self._sy_cols[ni]
-                J[..., ni, xc] = e[..., ni, 1] / e2[..., ni]
-                J[..., ni, yc] = -e[..., ni, 0] / e2[..., ni]
-                J[..., n + ni, xc] = f[..., ni, 1] / f2[..., ni]
-                J[..., n + ni, yc] = -f[..., ni, 0] / f2[..., ni]
-                J[..., 2 * n + ni, xc] = ue[..., ni, 0] + uf[..., ni, 0]
-                J[..., 2 * n + ni, yc] = ue[..., ni, 1] + uf[..., ni, 1]
-        return J
-
-    def jacobian(self, thetas: np.ndarray) -> np.ndarray:
-        """Jacobian of h, shape (..., 3 * n_paths, dim).
-
-        NLOS departure angles are treated as independent of the UE (their
-        rows have zero UE-position derivatives).
-        """
-        thetas = np.asarray(thetas, dtype=float)
-        e, f, e2, f2 = self._legs(thetas)
-        return self._jac_from_legs(thetas.shape[:-1], e, f, e2, f2)
-
     def h_jacobian_valid(self, thetas: np.ndarray):
-        """(h, J, validity) sharing one geometry pass; the refinement loop's
-        inner evaluation."""
-        thetas = np.asarray(thetas, dtype=float)
-        e, f, e2, f2 = self._legs(thetas)
-        h = self._h_from_legs(e, f, e2, f2)
-        J = self._jac_from_legs(thetas.shape[:-1], e, f, e2, f2)
-        return h, J, self._valid_from_legs(e2, f2)
+        """(h, J, validity) sharing one geometry pass; J has shape
+        (..., 3 * n_paths, dim), and the rows of NLOS departure angles have
+        zero UE-position derivatives."""
+        X, Y, q = self._legs(thetas)
+        return (self._h_from_legs(X, Y, q), self._jac_from_legs(X, Y, q),
+                self._valid_from_legs(q))

@@ -149,6 +149,112 @@ def test_lm_failed_solve_stays_in_its_row(monkeypatch):
     assert got_cost[3] < eng.cost_valid(marked[None, :])[0][0]
 
 
+def test_lm_failed_pseudo_inverse_rejects_its_row(monkeypatch):
+    """A row whose own solve and pseudo-inverse both fail takes no step:
+    it keeps its start state and cost while its damping rises, and every
+    other row ends bit-equal to a run without it."""
+    z, theta = _obs(seed=3)
+    eng = LikelihoodEngine(z, CORNER, Mode.NOREM)
+    rows = theta.to_array() + np.random.default_rng(9).normal(
+        0.0, 1.0, (6, eng.dim))
+    marked = theta.to_array().copy()
+    marked[:2] = [18.0 - 1e-3, 10.0 + 1e-3]  # UE a millimetre off the FE
+    want, want_cost = E._lm_refine_batch(eng, rows, GapfConfig())
+
+    solve, pinv = np.linalg.solve, np.linalg.pinv
+    pinv_calls = []
+
+    def failing_solve(a, b):
+        # only the marked row's normal matrix is this large
+        if np.any(a[..., 0, 0] > 1e6):
+            raise np.linalg.LinAlgError("marked row")
+        return solve(a, b)
+
+    def failing_pinv(a):
+        pinv_calls.append(a[0, 0])
+        if a[0, 0] > 1e6:
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return pinv(a)
+
+    monkeypatch.setattr(np.linalg, "solve", failing_solve)
+    monkeypatch.setattr(np.linalg, "pinv", failing_pinv)
+    got, got_cost = E._lm_refine_batch(
+        eng, np.vstack([rows[:3], marked, rows[3:]]), GapfConfig())
+    assert pinv_calls and min(pinv_calls) > 1e6  # the marked row only
+    np.testing.assert_array_equal(got[3], marked)
+    assert got_cost[3] == eng.cost_valid(marked[None, :])[0][0]
+    np.testing.assert_array_equal(np.delete(got, 3, axis=0), want)
+    np.testing.assert_array_equal(np.delete(got_cost, 3), want_cost)
+
+
+def _lm_fresh(eng, theta, obs, cfg):
+    """One row's damped least squares with J^T J and J^T r formed afresh
+    at every iteration.  Returns (state, cost, accepted steps after which
+    the row went on)."""
+    x, o = theta.copy(), np.array([obs])
+    lam, went_on = E._LAMBDA_INIT, 0
+    cost, ok = eng.cost_valid(x[None], o)
+    cost = cost[0]
+    if not ok[0]:
+        return x, cost, went_on
+    ii = np.arange(x.size)
+    for _ in range(cfg.lm_max_iters):
+        r, J, _, _ = eng.linearize(x[None], o)
+        A = J.transpose(0, 2, 1) @ J
+        g = (J.transpose(0, 2, 1) @ r[:, :, None])[:, :, 0]
+        if np.max(np.abs(g)) < E._GRAD_TOL:
+            break
+        d = A[:, ii, ii]
+        A[:, ii, ii] = d + lam * np.maximum(d, 1e-12)
+        step = np.linalg.solve(A, g[:, :, None])[:, :, 0]
+        cand_cost = eng.cost_valid(x + step, o)[0][0]
+        if cand_cost < cost:
+            x, cost = (x + step)[0], cand_cost
+            lam = max(lam / 10.0, E._LAMBDA_MIN)
+            if np.linalg.norm(step, axis=1)[0] < cfg.lm_tolerance:
+                break
+            went_on += 1
+        else:
+            lam *= 10.0
+            if lam > E._LAMBDA_MAX:
+                break
+    return x, cost, went_on
+
+
+@pytest.mark.parametrize("mode", [Mode.NOREM, Mode.REM])
+def test_lm_normal_equation_cache_is_exact(mode):
+    """The refinement keeps each row's normal equations between
+    iterations: its states and costs are the bits of a loop that forms
+    them afresh at every iteration, and it linearizes only the start rows
+    and the rows an accepted step leaves going."""
+    ps = enumerate_paths(CORNER, UE)
+    truth = ParamVector.truth_from_paths(UE, ps, Mode.NOREM)
+    zs = [synthesize(truth, ps, CORNER, seed) for seed in (31, 32)]
+    eng = LikelihoodEngine(zs, CORNER, mode)
+    rng = np.random.default_rng(4)
+    rows = truth.to_array()[:eng.dim] + rng.normal(0.0, 2.0, (12, eng.dim))
+    rows[5, :2] = [CORNER.fes[0].x, CORNER.fes[0].y]  # degenerate start
+    obs = rng.integers(0, 2, len(rows))
+    cfg = GapfConfig()
+    want = [_lm_fresh(eng, rows[k], obs[k], cfg) for k in range(len(rows))]
+
+    linearized = []
+    real = eng.linearize
+
+    def counted(thetas, o=None):
+        linearized.append(len(thetas))
+        return real(thetas, o)
+
+    eng.linearize = counted
+    x, cost = E._lm_refine_batch(eng, rows, cfg, obs)
+    for k, (wx, wc, _) in enumerate(want):
+        np.testing.assert_array_equal(x[k], wx)
+        assert cost[k] == wc
+    assert cost[5] == np.inf
+    assert sum(linearized) == len(rows) + sum(w[2] for w in want)
+    assert sum(w[2] for w in want) > 0
+
+
 def test_default_search_box_contains_truth():
     z, theta = _obs(seed=9)
     x0, x1, y0, y1 = default_search_box(z, CORNER, GapfConfig())

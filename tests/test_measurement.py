@@ -8,10 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scalar_model as ref
-from mmloc import (DegenerateGeometry, Mode, NoiseProfile, ParamVector,
-                   PathKind, Point2, ReflectiveSide, Scenario, Wall, WallAxis,
-                   covariance, enumerate_paths, forward, noise_profile_preset,
-                   noiseless_observation, synthesize, wrap)
+from mmloc import (SCENARIO_NAMES, DegenerateGeometry, Mode, NoiseProfile,
+                   ParamVector, PathKind, Point2, ReflectiveSide, Scenario,
+                   Wall, WallAxis, covariance, enumerate_paths, forward,
+                   noise_profile_preset, noiseless_observation,
+                   scenario_preset, synthesize, trajectory_preset, wrap)
+from mmloc.measurement import PathGeometry
 
 PROF = noise_profile_preset("73GHz")
 
@@ -182,6 +184,36 @@ def test_forward_matches_scalar_reference(walls):
                     forward(theta, ps, sc)
                 with pytest.raises(DegenerateGeometry):
                     ref.forward(theta, ps, sc)
+
+
+def _bits(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(a, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize("name", SCENARIO_NAMES)
+def test_rem_is_a_restriction_of_norem(name):
+    """The REM geometry at a UE is the NoREM one at [UE, true bounce
+    points]: h and validity bit for bit, and the UE columns of the
+    Jacobian too once -0 is folded into +0, along the preset track and at
+    UEs moved off it (the bounce points stay those of the track point)."""
+    sc = scenario_preset(name)
+    rng = np.random.default_rng(3)
+    for ue in trajectory_preset(name):
+        ps = enumerate_paths(sc, ue)
+        rem = PathGeometry(ps, sc, Mode.REM)
+        norem = PathGeometry(ps, sc, Mode.NOREM)
+        truth = ParamVector.truth_from_paths(ue, ps, Mode.NOREM).to_array()
+        full = np.tile(truth, (8, 1))
+        full[1:, :2] += rng.normal(0.0, 3.0, (7, 2))
+        fe = sc.fes[ps[0].fe_index]
+        full[-1, :2] = [fe.x, fe.y]  # a degenerate row
+        h, J, ok = norem.h_jacobian_valid(full)
+        h_r, J_r, ok_r = rem.h_jacobian_valid(full[:, :2])
+        np.testing.assert_array_equal(ok_r, ok)
+        assert list(ok) == [True] * 7 + [False]
+        np.testing.assert_array_equal(_bits(h_r[ok]), _bits(h[ok]))
+        np.testing.assert_array_equal(_bits(J_r[ok] + 0.0),
+                                      _bits(J[ok][..., :2] + 0.0))
 
 
 # ---------------------------------------------------------------------------
