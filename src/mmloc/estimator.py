@@ -42,6 +42,13 @@ class GapfConfig:
     region is derived from the measured path distances (each path bounds
     the UE to a square around its FE) intersected with the walls'
     reflective half-planes.
+
+    lm_tolerance (meters) ends a row's refinement after an accepted step
+    shorter than it; it is one of the five ways a row stops (see
+    _lm_refine_batch).  At 1e-9 m it sits below what the cost can
+    resolve, so most rows end earlier, when their step predicts a
+    decrease under the cost's rounding floor.  n_particles, n_iterations
+    and lm_max_iters must be integers.
     """
 
     n_particles: int = 50
@@ -55,6 +62,10 @@ class GapfConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
+        for name in ("n_particles", "n_iterations", "lm_max_iters"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n_particles < 1:
             raise ValueError("n_particles must be >= 1")
         if self.n_iterations < 0:
@@ -163,6 +174,18 @@ def _lm_refine_batch(eng: LikelihoodEngine, thetas: np.ndarray,
     and after each accepted step it does not stop on; a rejected step only
     raises the row's damping.
 
+    A row stops when
+    - its whitened gradient is flat (sup-norm below _GRAD_TOL);
+    - its damped step s predicts a decrease the cost cannot resolve,
+      g.s <= m * eps * cost with g = J^T r and m residuals (m * eps bounds
+      the rounding of a sum of m squares): the row keeps its state and
+      cost and s is not evaluated;
+    - it accepts a step shorter than cfg.lm_tolerance;
+    - its damping passes _LAMBDA_MAX after a rejected step;
+    - or cfg.lm_max_iters passes have run.
+    lm_tolerance (1e-9 m) lies below what the cost resolves, so the
+    rounding-floor test is what ends most rows.
+
     Returns (states, cost) with cost = -(log_likelihood - log_norm)."""
     x = np.array(thetas, dtype=float)
     n, dim = x.shape
@@ -171,6 +194,7 @@ def _lm_refine_batch(eng: LikelihoodEngine, thetas: np.ndarray,
     lam = np.full(n, _LAMBDA_INIT)
     active = ok.copy()
     ii = np.arange(dim)
+    floor = eng.m * np.finfo(float).eps  # summation error bound of the cost
     for _ in range(cfg.lm_max_iters):
         idx = np.nonzero(active)[0]
         if idx.size == 0:
@@ -189,6 +213,14 @@ def _lm_refine_batch(eng: LikelihoodEngine, thetas: np.ndarray,
             step = np.linalg.solve(damped, g[idx, :, None])[..., 0]
         except np.linalg.LinAlgError:
             step = _solve_rows(damped, g[idx])
+        # a step whose predicted decrease is below the cost's rounding
+        # floor cannot be told from noise: the row has settled
+        settled = np.einsum("ij,ij->i", step, g[idx]) <= floor * cost[idx]
+        if settled.any():
+            active[idx[settled]] = False
+            idx, step = idx[~settled], step[~settled]
+            if idx.size == 0:
+                continue
         step_ok = np.all(np.isfinite(step), axis=1)
         cand = x[idx] + np.where(step_ok[:, None], step, 0.0)
         cand_cost, _ = eng.cost_valid(cand, obs[idx])

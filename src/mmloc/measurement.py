@@ -37,10 +37,11 @@ def wrap(x):
     Accepts scalars or arrays; wrap(pi) == -pi.
     """
     arr = np.asarray(x, dtype=float)
-    out = arr - TWO_PI * np.floor((arr + np.pi) / TWO_PI)
+    # a fresh array, 0-d for a scalar, so the guards can act in place
+    out = np.asarray(arr - TWO_PI * np.floor((arr + np.pi) / TWO_PI))
     # guard the float edge cases so the image is exactly [-pi, pi)
-    out = np.where(out < -np.pi, out + TWO_PI, out)
-    out = np.where(out >= np.pi, out - TWO_PI, out)
+    np.add(out, TWO_PI, out=out, where=out < -np.pi)
+    np.subtract(out, TWO_PI, out=out, where=out >= np.pi)
     if out.ndim == 0:
         return float(out)
     return out

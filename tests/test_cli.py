@@ -61,6 +61,22 @@ def test_validate_names_each_violation(tmp_path, capsys):
     assert "n_particles" in text
 
 
+@pytest.mark.parametrize("est", [{"n_iterations": 2.5},
+                                 {"lm_max_iters": 3.5},
+                                 {"n_iterations": True}])
+@pytest.mark.parametrize("command", ["validate", "mc"])
+def test_non_integer_counts_are_config_errors(tmp_path, capsys, est,
+                                              command):
+    """A float or bool count fails validation, naming its key, instead
+    of crashing the run or being read as 1."""
+    cfg = _write_cfg(tmp_path, {"scenario": "corner-1fe", "estimator": est,
+                                "output_dir": str(tmp_path / "out")})
+    code, payload = _run(capsys, [command, "--config", cfg])
+    assert code == 2
+    assert next(iter(est)) in json.dumps(payload)
+    assert not (tmp_path / "out").exists()
+
+
 def test_validate_config_function_scopes_experiment_keys():
     raw = {"scenario": "corner-1fe", "experiment": {"n_points": 4}}
     assert validate_config(raw, "remmap") == []

@@ -1,6 +1,7 @@
 """Particle filter building blocks and the full estimator loop."""
 import math
 from collections import Counter
+from itertools import product
 from dataclasses import replace
 
 import numpy as np
@@ -47,6 +48,12 @@ def _obs(seed=None, mode=Mode.NOREM, scenario=CORNER, ue=UE):
     dict(process_std_position=-1.0),
     dict(lm_tolerance=0.0),
     dict(search_box=(5.0, 1.0, 0.0, 2.0)),
+    # counts that would crash range() mid-run or be read as 1
+    dict(n_particles=16.0),
+    dict(n_iterations=2.5),
+    dict(n_iterations=True),
+    dict(lm_max_iters=3.5),
+    dict(lm_max_iters="4"),
 ])
 def test_config_rejects_bad_values(kwargs):
     with pytest.raises(ValueError):
@@ -187,17 +194,19 @@ def test_lm_failed_pseudo_inverse_rejects_its_row(monkeypatch):
     np.testing.assert_array_equal(np.delete(got_cost, 3), want_cost)
 
 
-def _lm_fresh(eng, theta, obs, cfg):
+def _lm_fresh(eng, theta, obs, cfg, settle=True):
     """One row's damped least squares with J^T J and J^T r formed afresh
-    at every iteration.  Returns (state, cost, accepted steps after which
-    the row went on)."""
+    at every iteration; settle=False drops the rounding-floor stop.
+    Returns (state, cost, accepted steps after which the row went on,
+    whether the row settled at the floor)."""
     x, o = theta.copy(), np.array([obs])
     lam, went_on = E._LAMBDA_INIT, 0
     cost, ok = eng.cost_valid(x[None], o)
     cost = cost[0]
     if not ok[0]:
-        return x, cost, went_on
+        return x, cost, went_on, False
     ii = np.arange(x.size)
+    floor = eng.m * np.finfo(float).eps
     for _ in range(cfg.lm_max_iters):
         r, J, _, _ = eng.linearize(x[None], o)
         A = J.transpose(0, 2, 1) @ J
@@ -207,6 +216,8 @@ def _lm_fresh(eng, theta, obs, cfg):
         d = A[:, ii, ii]
         A[:, ii, ii] = d + lam * np.maximum(d, 1e-12)
         step = np.linalg.solve(A, g[:, :, None])[:, :, 0]
+        if settle and np.einsum("ij,ij->i", step, g)[0] <= floor * cost:
+            return x, cost, went_on, True
         cand_cost = eng.cost_valid(x + step, o)[0][0]
         if cand_cost < cost:
             x, cost = (x + step)[0], cand_cost
@@ -218,7 +229,7 @@ def _lm_fresh(eng, theta, obs, cfg):
             lam *= 10.0
             if lam > E._LAMBDA_MAX:
                 break
-    return x, cost, went_on
+    return x, cost, went_on, False
 
 
 @pytest.mark.parametrize("mode", [Mode.NOREM, Mode.REM])
@@ -247,12 +258,44 @@ def test_lm_normal_equation_cache_is_exact(mode):
 
     eng.linearize = counted
     x, cost = E._lm_refine_batch(eng, rows, cfg, obs)
-    for k, (wx, wc, _) in enumerate(want):
+    for k, (wx, wc, _, _) in enumerate(want):
         np.testing.assert_array_equal(x[k], wx)
         assert cost[k] == wc
     assert cost[5] == np.inf
     assert sum(linearized) == len(rows) + sum(w[2] for w in want)
     assert sum(w[2] for w in want) > 0
+
+
+@pytest.mark.parametrize("mode", [Mode.NOREM, Mode.REM])
+def test_settling_moves_nothing_the_cost_resolves(mode):
+    """Against a loop without the rounding-floor stop, a row that settles
+    ends within the cost's rounding of the same cost and within 1e-6 m of
+    the same state; a row that never settles keeps its bits.  At 6
+    passes most rows are cut off before they settle."""
+    fired = kept = 0
+    for scene, cfg in product(("corner-1fe", "corner-2fe"),
+                              (GapfConfig(), GapfConfig(lm_max_iters=6))):
+        sc = scenario_preset(scene)
+        ps = enumerate_paths(sc, UE)
+        truth = ParamVector.truth_from_paths(UE, ps, Mode.NOREM)
+        eng = LikelihoodEngine(synthesize(truth, ps, sc, 6), sc, mode)
+        rng = np.random.default_rng(8)
+        rows = truth.to_array()[:eng.dim] + rng.normal(0.0, 2.0,
+                                                       (16, eng.dim))
+        x, cost = E._lm_refine_batch(eng, rows, cfg)
+        rel = 4 * eng.m * np.finfo(float).eps
+        for k, row in enumerate(rows):
+            settled = _lm_fresh(eng, row, 0, cfg)[3]
+            px, pc, _, _ = _lm_fresh(eng, row, 0, cfg, settle=False)
+            if settled:
+                fired += 1
+                assert abs(cost[k] - pc) <= rel * pc
+                np.testing.assert_allclose(x[k], px, rtol=0.0, atol=1e-6)
+            else:
+                kept += 1
+                np.testing.assert_array_equal(x[k], px)
+                assert cost[k] == pc
+    assert fired > 0 and kept > 0
 
 
 def test_default_search_box_contains_truth():

@@ -69,6 +69,33 @@ def test_wrap_edges():
     assert wrap(2.0 * math.pi) == pytest.approx(0.0, abs=1e-15)
 
 
+def test_wrap_edge_values_match_the_copying_guards():
+    """The in-place edge guards give the bits of guards that copy, on
+    arrays, strided views and scalars, edge values included."""
+    two_pi = 2.0 * math.pi
+
+    def copying(x):
+        out = x - two_pi * np.floor((x + np.pi) / two_pi)
+        out = np.where(out < -np.pi, out + two_pi, out)
+        return np.where(out >= np.pi, out - two_pi, out)
+
+    edges = [math.pi, -math.pi, 0.0, -0.0, math.inf, -math.inf, math.nan,
+             1e300, -1e300, 5e-324, 1e16, -1e16, two_pi, -two_pi,
+             3.0 * math.pi, np.nextafter(math.pi, 0.0),
+             np.nextafter(-math.pi, -4.0)]
+    x = np.concatenate([edges, np.random.default_rng(3).normal(0.0, 20.0,
+                                                                502)])
+    with np.errstate(invalid="ignore"):
+        want = copying(x)
+        assert wrap(x).tobytes() == want.tobytes()
+        assert wrap(x.reshape(-1, 3)[:, ::2]).tobytes() == \
+            copying(x.reshape(-1, 3)[:, ::2]).tobytes()
+        for v, w in zip(x, want):
+            got = wrap(float(v))
+            assert type(got) is float
+            assert np.float64(got).tobytes() == w.tobytes()
+
+
 @given(x=st.floats(-50.0, 50.0), k=st.integers(-3, 3))
 @settings(max_examples=100, deadline=None)
 def test_wrap_image_and_periodicity(x, k):

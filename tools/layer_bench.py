@@ -1,13 +1,16 @@
 """Per-layer timings of the forward model and the LM refinement.
 
-    python3 tools/layer_bench.py --out BENCH.json
+    python3 tools/layer_bench.py --out BENCH_7.json
 
 Times `PathGeometry.h_jacobian_valid` and `estimator._lm_refine_batch` in
 microseconds per parameter row, at 16 and 4096 rows, in NoREM and REM, on
 the `corner-2fe` preset at a point of its map-building track (the
 10-unknown geometry of `mmloc remmap`).  Rows are the true parameters plus
 Gaussian noise of 2 m, from a fixed seed, scored against one synthesized
-observation; the LM runs at the default `GapfConfig`.
+observation; the LM runs at the default `GapfConfig`.  For the LM it also
+counts, over one untimed call, the passes that score candidate steps
+(`lm_passes`) and the candidate rows scored and rows linearized per input
+row (`rows_evaluated_per_row`, `rows_linearized_per_row`).
 
 Times are CPU seconds of this process with one BLAS thread, so time the
 host holds the process off the CPU is left out.  Each figure is the median
@@ -65,6 +68,31 @@ def _time(call, rows: int) -> dict:
             "blocks_us_per_row": blocks}
 
 
+def _lm_counts(eng, thetas, cfg) -> dict:
+    """Work of one LM call: passes that score candidates, and rows scored
+    and linearized per input row."""
+    scored, linearized = [], []
+    cost_valid, linearize = eng.cost_valid, eng.linearize
+
+    def counted_cost(x, obs=None):
+        scored.append(len(x))
+        return cost_valid(x, obs)
+
+    def counted_linearize(x, obs=None):
+        linearized.append(len(x))
+        return linearize(x, obs)
+
+    eng.cost_valid, eng.linearize = counted_cost, counted_linearize
+    try:
+        _lm_refine_batch(eng, thetas, cfg)
+    finally:
+        del eng.cost_valid, eng.linearize
+    rows = len(thetas)
+    return {"lm_passes": len(scored),
+            "rows_evaluated_per_row": sum(scored) / rows,
+            "rows_linearized_per_row": sum(linearized) / rows}
+
+
 def run() -> dict:
     scenario = scenario_preset(SCENE)
     ue = trajectory_preset(SCENE)[TRACK_POINT]
@@ -87,10 +115,15 @@ def run() -> dict:
             )
             for layer, call in layers:
                 fig = _time(call, rows)
+                if layer == "estimator._lm_refine_batch":
+                    fig.update(_lm_counts(eng, thetas, cfg))
                 results.append({"layer": layer, "mode": mode.value,
                                 "rows": rows, "dim": eng.dim, **fig})
+                extra = "".join(f" {k} {v:.3g}" for k, v in fig.items()
+                                if not k.endswith("us_per_row"))
                 print(f"{layer:45s} {mode.value:5s} {rows:5d} rows "
-                      f"{fig['us_per_row']:10.2f} us/row", file=sys.stderr)
+                      f"{fig['us_per_row']:10.2f} us/row{extra}",
+                      file=sys.stderr)
     return {"scene": SCENE, "ue": [ue.x, ue.y], "row_std_m": ROW_STD_M,
             "repeats": REPEATS, "block_seconds": BLOCK_SECONDS,
             "clock": "process CPU time, one BLAS thread",
