@@ -44,7 +44,7 @@ _MODES = {"NoREM": (Mode.NOREM,), "REM": (Mode.REM,),
 
 _TOP_KEYS = {"scenario", "profile", "mode", "ue", "seed", "output_dir",
              "workers", "estimator", "experiment", "grid"}
-# rng_seed and search_box are derived internally, not config surface
+# rng_seed is derived per run from seed, not config surface
 _ESTIMATOR_KEYS = {"n_particles", "n_iterations", "process_std_position",
                    "anneal_factor", "lm_max_iters", "lm_tolerance",
                    "grid_spacing"}
@@ -313,11 +313,14 @@ class _Resolver:
                 self.errs.append("ue: required (no preset position for a "
                                  "custom scenario)")
             return
+        subset = self.experiment["subset"]
         try:
             paths = enumerate_paths(self.scenario, self.ue)
-            check_sufficiency(paths)
-        except MmlocError as e:
-            self.errs.append(f"ue: no sufficient path set at "
+            paths = paths.subset(H.subset_indices(paths, subset))
+            for mode in self.modes:
+                check_sufficiency(paths, mode)
+        except (MmlocError, ValueError) as e:  # ValueError: empty subset
+            self.errs.append(f"ue: no sufficient {subset!r} path set at "
                              f"({self.ue.x}, {self.ue.y}): {e}")
 
     @property

@@ -38,11 +38,6 @@ _JOINT_CHUNK = 1 << 16  # (UE node, bounce node) pairs scored per array pass
 class GapfConfig:
     """Tuning knobs of the estimator.
 
-    search_box is (x_min, x_max, y_min, y_max); when None the UE search
-    region is derived from the measured path distances (each path bounds
-    the UE to a square around its FE) intersected with the walls'
-    reflective half-planes.
-
     lm_tolerance (meters) ends a row's refinement after an accepted step
     shorter than it; it is one of the five ways a row stops (see
     _lm_refine_batch).  At 1e-9 m it sits below what the cost can
@@ -58,7 +53,6 @@ class GapfConfig:
     lm_max_iters: int = 30
     lm_tolerance: float = 1e-9
     grid_spacing: float = 1.0
-    search_box: Optional[tuple[float, float, float, float]] = None
     rng_seed: int = 0
 
     def __post_init__(self):
@@ -78,10 +72,6 @@ class GapfConfig:
             raise ValueError("process_std_position must be >= 0")
         if self.lm_max_iters < 0 or self.lm_tolerance <= 0.0:
             raise ValueError("bad LM settings")
-        if self.search_box is not None:
-            x0, x1, y0, y1 = self.search_box
-            if not (x0 < x1 and y0 < y1):
-                raise ValueError("search_box must be (x_min, x_max, y_min, y_max)")
 
 
 @dataclass(eq=False)
@@ -124,11 +114,13 @@ class EstimateReport:
     best_ll_history: tuple[float, ...] = field(default=(), repr=False)
 
 
-def check_sufficiency(paths: PathSet) -> None:
-    """The UE is identifiable from one LOS path or from two NLOS paths."""
-    if paths.n_los == 0 and paths.n_nlos < 2:
+def check_sufficiency(paths: PathSet, mode: Mode = Mode.NOREM) -> None:
+    """The UE is identifiable from one LOS path or from two NLOS paths; in
+    REM, where every bounce point is known, from any one path."""
+    if mode is Mode.NOREM and paths.n_los == 0 and paths.n_nlos < 2:
         raise InsufficientPaths(
-            f"{paths.n_los} LOS / {paths.n_nlos} NLOS paths cannot localize the UE")
+            f"{paths.n_los} LOS / {paths.n_nlos} NLOS paths cannot localize "
+            f"the UE in {mode.value}")
 
 
 # --------------------------------------------------------------------------
@@ -318,30 +310,6 @@ def default_search_box(z: Observation, scenario: Scenario,
     return box
 
 
-def _los_indices(paths: PathSet) -> list[int]:
-    return [i for i, p in enumerate(paths) if p.kind is PathKind.LOS]
-
-
-def _path_term_cost(z: Observation, j: int, ue_xy: np.ndarray,
-                    s_xy: np.ndarray, fe_xy: np.ndarray) -> np.ndarray:
-    """Whitened squared residual of path j's three measurements, evaluated
-    elementwise over broadcast (ue, scatterer) arrays of shape (..., 2)."""
-    n = z.paths.n_paths
-    var = z.covariance_diag
-    e = s_xy - ue_xy
-    f = s_xy - fe_xy
-    e2 = np.einsum("...i,...i->...", e, e)
-    f2 = np.einsum("...i,...i->...", f, f)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        alpha = np.arctan2(e[..., 0], e[..., 1])
-        beta = np.arctan2(f[..., 0], f[..., 1])
-    d = np.sqrt(e2) + np.sqrt(f2)
-    cost = (wrap(z.alpha[j] - alpha) ** 2 / var[j]
-            + wrap(z.beta[j] - beta) ** 2 / var[n + j]
-            + (z.dist[j] - d) ** 2 / var[2 * n + j])
-    return np.where((e2 > 1e-18) & (f2 > 1e-18), cost, np.inf)
-
-
 def _scatterer_box(fe: Point2, d_meas: float,
                    ue_xy: Optional[np.ndarray] = None):
     half = d_meas + _SEARCH_PAD
@@ -357,14 +325,25 @@ def _scatterer_box(fe: Point2, d_meas: float,
 
 def _best_scatterer(z: Observation, j: int, ue_xy: np.ndarray,
                     scenario: Scenario, spacing: float) -> np.ndarray:
-    """2D grid argmin of path j's term with the UE held fixed."""
-    path = z.paths[j]
-    fe = scenario.fes[path.fe_index]
+    """2D grid argmin of path j's term with the UE held fixed.
+
+    Only the bounce nodes within _JOINT_PRUNE (see _bounce_terms) are
+    scored.  A node's lower bound never exceeds its cost and the survivors
+    keep their order, so a survivor that scores within the bound is the
+    first minimum over all nodes; otherwise the nodes are scored again
+    without the bound."""
+    fe = scenario.fes[z.paths[j].fe_index]
     fe_xy = np.array([fe.x, fe.y])
-    box = _scatterer_box(fe, float(z.dist[j]), ue_xy)
-    nodes = _grid_nodes(box, spacing)
-    cost = _path_term_cost(z, j, ue_xy, nodes, fe_xy)
-    return nodes[int(np.argmin(cost))]
+    nodes = _grid_nodes(_scatterer_box(fe, float(z.dist[j]), ue_xy), spacing)
+    for bound in (_JOINT_PRUNE, np.inf):
+        s_nodes, cost_s, leg_fe, ok_s = _bounce_terms(z, j, nodes, fe_xy,
+                                                      bound)
+        cost = _pair_costs(z, j, ue_xy[None, :], s_nodes, cost_s, leg_fe,
+                           ok_s)[0]
+        k = int(np.argmin(cost))
+        if cost[k] <= bound:
+            break
+    return s_nodes[k]
 
 
 def _bounce_terms(z: Observation, j: int, s_nodes: np.ndarray,
@@ -394,17 +373,31 @@ def _bounce_terms(z: Observation, j: int, s_nodes: np.ndarray,
     return s_nodes, cost_s, leg_fe, ok_s
 
 
+def _pair_costs(z: Observation, j: int, ue_nodes: np.ndarray,
+                s_nodes: np.ndarray, cost_s: np.ndarray, leg_fe: np.ndarray,
+                ok_s: np.ndarray) -> np.ndarray:
+    """Path j's term at every (UE node, bounce node) pair, shape
+    (len(ue_nodes), len(s_nodes)), +inf where either leg vanishes.  The
+    bounce nodes come with their own parts from _bounce_terms; only the
+    arrival angle and the total distance vary with the UE."""
+    n = z.paths.n_paths
+    va, vd = z.covariance_diag[j], z.covariance_diag[2 * n + j]
+    za, zd = float(z.alpha[j]), float(z.dist[j])
+    e = s_nodes[None, :, :] - ue_nodes[:, None, :]
+    e2 = np.einsum("...i,...i->...", e, e)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        alpha = np.arctan2(e[..., 0], e[..., 1])
+    d = np.sqrt(e2) + leg_fe[None, :]
+    cost = (wrap(za - alpha) ** 2 / va + (zd - d) ** 2 / vd
+            + cost_s[None, :])
+    return np.where(ok_s[None, :] & (e2 > 1e-18), cost, np.inf)
+
+
 def _joint_min_cost(z: Observation, j: int, ue_nodes: np.ndarray,
                     s_nodes: np.ndarray, fe_xy: np.ndarray,
                     bound: float = _JOINT_PRUNE) -> np.ndarray:
     """min over s_nodes of path j's term, per UE node, skipping the bounce
-    nodes that cannot score within bound (see _bounce_terms).  The
-    departure angle and FE leg depend on the bounce node alone, so they
-    are computed once; only the arrival angle and total distance vary
-    with the UE."""
-    n = z.paths.n_paths
-    va, vd = z.covariance_diag[j], z.covariance_diag[2 * n + j]
-    za, zd = float(z.alpha[j]), float(z.dist[j])
+    nodes that cannot score within bound (see _bounce_terms)."""
     s_nodes, cost_s, leg_fe, ok_s = _bounce_terms(z, j, s_nodes, fe_xy,
                                                   bound)
     best = np.empty(len(ue_nodes))
@@ -412,14 +405,11 @@ def _joint_min_cost(z: Observation, j: int, ue_nodes: np.ndarray,
     # nodes survive the bound varies by observation, and peak memory with it
     rows = max(1, _JOINT_CHUNK // max(1, len(s_nodes)))
     for a in range(0, len(ue_nodes), rows):
-        e = s_nodes[None, :, :] - ue_nodes[a:a + rows, None, :]
-        e2 = np.einsum("...i,...i->...", e, e)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            alpha = np.arctan2(e[..., 0], e[..., 1])
-        d = np.sqrt(e2) + leg_fe[None, :]
-        cost = (wrap(za - alpha) ** 2 / va + (zd - d) ** 2 / vd
-                + cost_s[None, :])
-        cost = np.where(ok_s[None, :] & (e2 > 1e-18), cost, np.inf)
+        # cost stays bound until the next chunk's block is made: freed at
+        # once, the allocator hands the heap's top back to the system and
+        # every chunk faults its pages in anew (4 to 8 times the page faults)
+        cost = _pair_costs(z, j, ue_nodes[a:a + rows], s_nodes, cost_s,
+                           leg_fe, ok_s)
         best[a:a + rows] = cost.min(axis=1)
     return best
 
@@ -508,56 +498,40 @@ def grid_init(z: Observation, paths: PathSet, scenario: Scenario,
               cfg: GapfConfig, mode: Mode = Mode.NOREM) -> ParamVector:
     """Staged coarse search for the filter's starting point.
 
-    With LOS paths present: a 2D grid over the UE scored by the LOS
-    measurements alone, then one 2D grid per NLOS bounce point with the UE
-    held fixed.  Without LOS paths: a joint grid over the UE and the two
-    NLOS paths with the smallest measured distances (exact argmax of the
-    joint grid: given the UE node, the per-path terms decouple), then 2D
-    grids for any remaining bounce points.  The joint grid is searched
-    under an upper bound taken from closed-form ray seeds, which skips
-    most (UE node, bounce node) pairs yet returns the same node as scoring
-    every pair (see _joint_argmin).  In REM mode bounce points are known,
-    so only the UE grid runs, scored by all paths.
+    One UE stage.  NoREM without LOS paths searches the UE grid jointly
+    with the two NLOS paths of smallest measured distance, under a
+    ray-seeded bound that keeps the node scoring every pair would give
+    (see _joint_argmin).  Every other case scores the UE grid with the
+    likelihood engine in mode: over z in REM with LOS paths, else over the
+    LOS paths, else over those two NLOS paths (one suffices in REM).  REM
+    knows its bounce points and stops there; NoREM then grids each bounce
+    point with the UE held fixed (see _best_scatterer).
     """
-    check_sufficiency(paths)
-    box = cfg.search_box if cfg.search_box is not None else \
-        default_search_box(z, scenario, cfg)
-    ue_nodes = _grid_nodes(box, cfg.grid_spacing)
-    los = _los_indices(paths)
+    check_sufficiency(paths, mode)
+    ue_nodes = _grid_nodes(default_search_box(z, scenario, cfg),
+                           cfg.grid_spacing)
+    los = [i for i, p in enumerate(paths) if p.kind is PathKind.LOS]
     nlos = [i for i in range(paths.n_paths) if i not in los]
+    order = np.argsort(z.dist[nlos], kind="stable")
+    pair = [nlos[k] for k in order[:2]]
 
-    if mode is Mode.REM:
-        if los:
-            score_obs = z
-        else:
-            order = np.argsort(z.dist[nlos], kind="stable")
-            score_obs = z.subset([nlos[k] for k in order[:2]])
-        eng = LikelihoodEngine(score_obs, scenario, Mode.REM)
-        ll = eng.log_likelihood(ue_nodes)
-        if not np.isfinite(ll).any():
-            raise DegenerateGeometry("no valid UE grid node in the search box")
-        ue0 = ue_nodes[int(np.argmax(ll))]
-        return ParamVector.from_array(ue0, Mode.REM)
-
-    if los:
-        eng = LikelihoodEngine(z.subset(los), scenario, Mode.NOREM)
-        ll = eng.log_likelihood(ue_nodes)
-        if not np.isfinite(ll).any():
-            raise DegenerateGeometry("no valid UE grid node in the search box")
-        ue0 = ue_nodes[int(np.argmax(ll))]
-        pending = list(nlos)
-    else:
-        order = np.argsort(z.dist[nlos], kind="stable")
-        pair = [nlos[k] for k in order[:2]]
+    if mode is Mode.NOREM and not los:
         k, total = _joint_argmin(z, pair, ue_nodes, scenario,
                                  cfg.grid_spacing)
-        if not math.isfinite(total):
-            raise DegenerateGeometry("no valid UE grid node in the search box")
-        ue0 = ue_nodes[k]
-        pending = list(nlos)
+        found = math.isfinite(total)
+    else:
+        score_obs = z if mode is Mode.REM and los else z.subset(los or pair)
+        ll = LikelihoodEngine(score_obs, scenario, mode).log_likelihood(
+            ue_nodes)
+        k, found = int(np.argmax(ll)), bool(np.isfinite(ll).any())
+    if not found:
+        raise DegenerateGeometry("no valid UE grid node in the search box")
+    ue0 = ue_nodes[k]
+    if mode is Mode.REM:
+        return ParamVector.from_array(ue0, Mode.REM)
 
     scat = [None] * paths.n_nlos
-    for j in pending:
+    for j in nlos:
         s = _best_scatterer(z, j, ue0, scenario, cfg.grid_spacing)
         scat[paths[j].scatterer_index] = Point2(float(s[0]), float(s[1]))
     return ParamVector(Point2(float(ue0[0]), float(ue0[1])),
@@ -694,7 +668,7 @@ def estimate(z, scenario: Scenario, mode: Mode, cfg: GapfConfig,
     out: list = [None] * len(zs)
     if not zs:
         return out
-    check_sufficiency(zs[0].paths)
+    check_sufficiency(zs[0].paths, mode)
     live, theta0s = [], []
     for b, zb in enumerate(zs):
         try:

@@ -255,7 +255,7 @@ def mc_rmse(scenario: Scenario, ue: Point2, mode: Mode, cfg: GapfConfig,
         raise ValueError("n_trials must be >= 1")
     paths = enumerate_paths(scenario, ue)
     paths = paths.subset(subset_indices(paths, subset))
-    check_sufficiency(paths)
+    check_sufficiency(paths, mode)
     truth = ParamVector.truth_from_paths(ue, paths, Mode.NOREM)
     crb = rmse_crb(truth, paths, scenario, scenario.noise_profile, mode)
     runner = _TrialRunner(scenario, ue, paths, mode, cfg, seed, noiseless)

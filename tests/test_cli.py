@@ -108,6 +108,30 @@ def test_insufficient_ue_position_rejected(tmp_path, capsys):
     assert "ue" in payload["error"]["message"]
 
 
+def test_validate_checks_the_mc_subset_in_each_mode(tmp_path, capsys):
+    """canyon-1fe has one reflection: enough in REM, not in NoREM."""
+    def validate(mode):
+        cfg = _write_cfg(tmp_path, {
+            "scenario": "canyon-1fe", "mode": mode,
+            "output_dir": str(tmp_path / "out"),
+            "experiment": {"subset": "nlos"}}, name=f"{mode}.yaml")
+        return _run(capsys, ["validate", "--config", cfg])
+
+    code, payload = validate("NoREM")
+    assert code == 2
+    text = "; ".join(payload["violations"])
+    assert "'nlos'" in text and "NoREM" in text
+    assert validate("both")[0] == 2
+    code, payload = validate("REM")
+    assert code == 0 and payload["violations"] == []
+    # no wall, so no reflection at all: the subset is empty
+    errs = validate_config({
+        "scenario": {"name": "open", "walls": [], "fes": [[0.0, 0.0]]},
+        "ue": [5.0, 5.0], "mode": "REM", "experiment": {"subset": "nlos"}})
+    assert len(errs) == 1 and "'nlos'" in errs[0]
+
+
+
 # ---------------------------------------------------------------------------
 # estimate
 # ---------------------------------------------------------------------------
@@ -237,6 +261,23 @@ def test_sweep_row_inventory(tmp_path, capsys):
         if curve.endswith(":crb"):
             assert stats["n_finite"] == 2
             assert stats["rmse_min"] > 0.0
+
+
+def test_sweep_runs_a_lone_reflection_in_rem(tmp_path, capsys):
+    """REM localizes from canyon-1fe's one reflection; NoREM cannot, and
+    its Monte-Carlo cells stay NaN without failing the sweep."""
+    out = tmp_path / "out"
+    cfg = _write_cfg(tmp_path, {
+        "scenario": "canyon-1fe", "mode": "both", "output_dir": str(out),
+        "estimator": LIGHT_EST,
+        "experiment": {"sigma_deg": [2.0, 10.0], "subsets": ["nlos"],
+                       "n_trials": 2},
+    })
+    code, payload = _run(capsys, ["sweep", "--config", cfg])
+    assert code == 0
+    results = _summary_of(payload)["results"]
+    assert results["nlos:REM:mc"]["n_finite"] == 2
+    assert results["nlos:NoREM:mc"]["n_finite"] == 0
 
 
 def test_cdf_medians_come_from_the_csv(tmp_path, capsys):

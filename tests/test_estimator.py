@@ -15,7 +15,8 @@ from mmloc import (DegenerateGeometry, GapfConfig, InsufficientPaths,
                    estimate, gapf_iterate, grid_init, initial_particles,
                    lm_refine, noise_profile_preset, noiseless_observation,
                    resample_systematic, scenario_preset, subset_indices,
-                   synthesize, trial_seeds)
+                   synthesize, trajectory_preset, trial_seeds)
+from mmloc.measurement import wrap
 
 PROF = noise_profile_preset("73GHz")
 
@@ -47,7 +48,6 @@ def _obs(seed=None, mode=Mode.NOREM, scenario=CORNER, ue=UE):
     dict(grid_spacing=0.0),
     dict(process_std_position=-1.0),
     dict(lm_tolerance=0.0),
-    dict(search_box=(5.0, 1.0, 0.0, 2.0)),
     # counts that would crash range() mid-run or be read as 1
     dict(n_particles=16.0),
     dict(n_iterations=2.5),
@@ -67,6 +67,19 @@ def test_check_sufficiency():
     check_sufficiency(ps.subset([1, 2]))   # two NLOS are enough
     with pytest.raises(InsufficientPaths):
         check_sufficiency(ps.subset([1]))  # one NLOS is not
+
+
+def test_rem_localizes_from_any_one_path():
+    """A known bounce point makes a lone reflection enough in REM."""
+    ps = enumerate_paths(CORNER, UE)
+    check_sufficiency(ps.subset([1]), Mode.REM)
+    with pytest.raises(InsufficientPaths, match="NoREM"):
+        check_sufficiency(ps.subset([1]), Mode.NOREM)
+    z, _ = _obs(seed=1)
+    rep = estimate(z.subset([1]), CORNER, Mode.REM,
+                   GapfConfig(n_particles=16, n_iterations=6))
+    assert math.hypot(rep.theta_hat.ue.x - UE.x,
+                      rep.theta_hat.ue.y - UE.y) < 5.0
 
 
 # ---------------------------------------------------------------------------
@@ -449,6 +462,84 @@ def test_joint_init_falls_back_when_no_ray_meets(pairs_scored):
                             ue_nodes, sc, 1.0)
     assert got == want
     assert n_pruned == n_all
+
+
+def _full_grid_scatterer(z, j, ue_xy, sc, spacing=1.0):
+    """Every bounce node of the fixed-UE box scored by path j's whole term,
+    summed as (alpha + beta) + d with nothing pruned, and the first minimum
+    returned: an independent reference for _best_scatterer."""
+    fe = sc.fes[z.paths[j].fe_index]
+    fe_xy = np.array([fe.x, fe.y])
+    nodes = E._grid_nodes(E._scatterer_box(fe, float(z.dist[j]), ue_xy),
+                          spacing)
+    n, var = z.paths.n_paths, z.covariance_diag
+    e, f = nodes - ue_xy, nodes - fe_xy
+    e2 = np.einsum("...i,...i->...", e, e)
+    f2 = np.einsum("...i,...i->...", f, f)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        alpha = np.arctan2(e[..., 0], e[..., 1])
+        beta = np.arctan2(f[..., 0], f[..., 1])
+    d = np.sqrt(e2) + np.sqrt(f2)
+    cost = (wrap(z.alpha[j] - alpha) ** 2 / var[j]
+            + wrap(z.beta[j] - beta) ** 2 / var[n + j]
+            + (z.dist[j] - d) ** 2 / var[2 * n + j])
+    cost = np.where((e2 > 1e-18) & (f2 > 1e-18), cost, np.inf)
+    k = int(np.argmin(cost))
+    return nodes[k], cost[k]
+
+
+@pytest.fixture
+def bounds_tried(monkeypatch):
+    """The bounds _bounce_terms is called with."""
+    seen = []
+    real = E._bounce_terms
+
+    def recorded(z, j, s_nodes, fe_xy, bound):
+        seen.append(bound)
+        return real(z, j, s_nodes, fe_xy, bound)
+
+    monkeypatch.setattr(E, "_bounce_terms", recorded)
+    return seen
+
+
+def test_best_scatterer_is_the_full_grid_argmin(bounds_tried):
+    """The pruned bounce-point grid returns the node the full grid does,
+    bit for bit: at UEs around every preset's track at 73 and 28 GHz, and
+    at a UE so far off that the pruned minimum exceeds the bound, where
+    the full grid's winner is a pruned node and only the unbounded second
+    pass finds it."""
+    calls = 0
+    rng = np.random.default_rng(11)
+    for scene, profile in product(("canyon-1fe", "canyon-2fe", "corner-1fe",
+                                   "corner-2fe"), ("73GHz", "28GHz")):
+        sc = scenario_preset(scene, profile)
+        for t, ue in enumerate(trajectory_preset(scene)):
+            paths = enumerate_paths(sc, ue)
+            truth = ParamVector.truth_from_paths(ue, paths, Mode.NOREM)
+            z = synthesize(truth, paths, sc, np.random.default_rng(t))
+            for ue_xy in np.array([ue.x, ue.y]) + rng.normal(0.0, 1.5,
+                                                              (3, 2)):
+                for j in subset_indices(paths, "nlos"):
+                    want, _ = _full_grid_scatterer(z, j, ue_xy, sc)
+                    got = E._best_scatterer(z, j, ue_xy, sc, 1.0)
+                    assert got.tobytes() == want.tobytes()
+                    calls += 1
+    assert calls >= 1000
+
+    sc = scenario_preset("corner-1fe")
+    z, _ = _obs(seed=1, scenario=sc)
+    far = np.array([-30.0, 60.0])
+    want, want_cost = _full_grid_scatterer(z, 1, far, sc)
+    assert want_cost > E._JOINT_PRUNE
+    fe = sc.fes[z.paths[1].fe_index]
+    nodes = E._grid_nodes(E._scatterer_box(fe, float(z.dist[1]), far), 1.0)
+    kept = E._bounce_terms(z, 1, nodes, np.array([fe.x, fe.y]),
+                           E._JOINT_PRUNE)[0]
+    assert not (kept == want).all(axis=1).any()
+    bounds_tried.clear()
+    got = E._best_scatterer(z, 1, far, sc, 1.0)
+    assert got.tobytes() == want.tobytes()
+    assert bounds_tried == [E._JOINT_PRUNE, np.inf]
 
 
 def test_initial_particles_are_copies_of_seed():

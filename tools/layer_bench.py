@@ -1,6 +1,7 @@
-"""Per-layer timings of the forward model and the LM refinement.
+"""Per-layer timings of the forward model, the LM refinement and the grid
+init.
 
-    python3 tools/layer_bench.py --out BENCH_7.json
+    python3 tools/layer_bench.py --out BENCH_9.json
 
 Times `PathGeometry.h_jacobian_valid` and `estimator._lm_refine_batch` in
 microseconds per parameter row, at 16 and 4096 rows, in NoREM and REM, on
@@ -11,6 +12,18 @@ observation; the LM runs at the default `GapfConfig`.  For the LM it also
 counts, over one untimed call, the passes that score candidate steps
 (`lm_passes`) and the candidate rows scored and rows linearized per input
 row (`rows_evaluated_per_row`, `rows_linearized_per_row`).
+
+The grid init is timed in microseconds per call on the two Monte-Carlo
+benchmark scenes, `corner-1fe` with the UE at (8, 35), in NoREM:
+- `grid_init_los`: all three paths at 6 degrees and 0.75 m, so the UE
+  grid is scored by the LOS path and each bounce point by its own grid;
+- `_best_scatterer`: one such bounce-point grid, at the UE that grid init
+  found, per NLOS path;
+- `grid_init_joint`: the two reflections alone at 73 GHz, the joint
+  two-NLOS pass; it also counts the minor page faults (`ru_minflt`) per
+  call, averaged over FAULT_CALLS calls after a warm-up.  How many pages
+  the allocator hands back depends on what the process allocated before,
+  so these layers run first.
 
 Times are CPU seconds of this process with one BLAS thread, so time the
 host holds the process off the CPU is left out.  Each figure is the median
@@ -26,6 +39,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 import argparse
 import json
 import platform
+import resource
 import statistics
 import sys
 import time
@@ -36,10 +50,11 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 import numpy as np
 
 import mmloc
-from mmloc import (GapfConfig, LikelihoodEngine, Mode, ParamVector,
-                   enumerate_paths, scenario_preset, synthesize,
+from mmloc import (GapfConfig, LikelihoodEngine, Mode, NoiseProfile,
+                   ParamVector, Point2, enumerate_paths, grid_init,
+                   scenario_preset, subset_indices, synthesize,
                    trajectory_preset)
-from mmloc.estimator import _lm_refine_batch
+from mmloc.estimator import _best_scatterer, _lm_refine_batch
 
 SCENE = "corner-2fe"
 TRACK_POINT = 7
@@ -47,6 +62,8 @@ BATCHES = (16, 4096)
 ROW_STD_M = 2.0
 REPEATS = 7
 BLOCK_SECONDS = 0.3
+MC_UE = Point2(8.0, 35.0)
+FAULT_CALLS = 20
 
 
 def _block_seconds(call) -> float:
@@ -93,6 +110,57 @@ def _lm_counts(eng, thetas, cfg) -> dict:
             "rows_linearized_per_row": sum(linearized) / rows}
 
 
+def _minflt_per_call(call) -> float:
+    """Minor page faults of this process per call, after a warm-up."""
+    call()
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(FAULT_CALLS):
+        call()
+    after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    return (after - before) / FAULT_CALLS
+
+
+def _grid_init_layers() -> list:
+    """The grid init on the Monte-Carlo benchmark scenes (see above)."""
+    cfg = GapfConfig()
+    out = []
+
+    def record(layer, call, scene, **extra):
+        fig = _time(call, 1)
+        fig = {"us_per_call": fig["us_per_row"],
+               "blocks_us_per_call": fig["blocks_us_per_row"], **extra}
+        out.append({"layer": layer, "scene": scene, "mode": "NoREM", **fig})
+        more = "".join(f" {k} {v:.4g}" for k, v in extra.items())
+        print(f"{layer:45s} {scene:16s} {fig['us_per_call']:10.1f} "
+              f"us/call{more}", file=sys.stderr)
+
+    scenario = scenario_preset("corner-1fe",
+                               NoiseProfile.equal_angles(6.0, 0.75))
+    paths = enumerate_paths(scenario, MC_UE)
+    z = synthesize(ParamVector.truth_from_paths(MC_UE, paths, Mode.NOREM),
+                   paths, scenario, 1)
+    record("estimator.grid_init_los",
+           lambda: grid_init(z, paths, scenario, cfg), "corner-1fe-6deg")
+    ue0 = grid_init(z, paths, scenario, cfg).to_array()[:2]
+    for j in subset_indices(paths, "nlos"):
+        record("estimator._best_scatterer",
+               lambda: _best_scatterer(z, j, ue0, scenario,
+                                       cfg.grid_spacing),
+               f"corner-1fe-6deg-path{j}")
+
+    scenario = scenario_preset("corner-1fe", "73GHz")
+    paths = enumerate_paths(scenario, MC_UE)
+    z = synthesize(ParamVector.truth_from_paths(MC_UE, paths, Mode.NOREM),
+                   paths, scenario, 1).subset(subset_indices(paths, "nlos"))
+
+    def joint():
+        return grid_init(z, z.paths, scenario, cfg)
+
+    record("estimator.grid_init_joint", joint, "corner-1fe-73GHz-nlos",
+           minflt_per_call=_minflt_per_call(joint))
+    return out
+
+
 def run() -> dict:
     scenario = scenario_preset(SCENE)
     ue = trajectory_preset(SCENE)[TRACK_POINT]
@@ -100,7 +168,7 @@ def run() -> dict:
     truth = ParamVector.truth_from_paths(ue, paths, Mode.NOREM)
     z = synthesize(truth, paths, scenario, 1)
     cfg = GapfConfig()
-    results = []
+    results = _grid_init_layers()  # first: their page faults follow the heap
     for mode in (Mode.NOREM, Mode.REM):
         eng = LikelihoodEngine(z, scenario, mode)
         start = ParamVector.truth_from_paths(ue, paths, mode).to_array()
