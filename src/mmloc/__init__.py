@@ -5,8 +5,8 @@ filter), and Cramer-Rao bound analysis for planar scenes with direct and
 single-bounce paths, with bounce points either estimated jointly or known
 from an environment map.
 """
-from .bounds import (CrbField, CrbReport, GridSpec, crb_grid, crb_report,
-                     fisher, rmse_crb, rmse_crb_distance_only)
+from .bounds import (CrbField, GridSpec, crb_grid, fisher, rmse_crb,
+                     rmse_crb_distance_only)
 from .errors import (AllTrialsFailed, ConfigError, DegenerateGeometry,
                      EmptyResult, ExperimentError, InsufficientPaths,
                      MmlocError, SingularCovariance, SingularFisher)

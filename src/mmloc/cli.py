@@ -523,14 +523,13 @@ def _cmd_field(res: _Resolver, out_dir: str) -> dict:
     outputs: dict = {}
     fields = {}
     for mode in res.modes:
-        fields[mode] = crb_grid(res.scenario, res.grid, res.profile, mode)
+        fields[mode] = crb_grid(res.scenario, res.grid, mode)
         name = f"field-{mode.value.lower()}.csv"
         H.write_field_csv(os.path.join(out_dir, name), fields[mode])
         outputs[mode.value] = name
     if len(res.modes) == 2:
         norem, rem = fields[Mode.NOREM], fields[Mode.REM]
-        delta = CrbField(norem.xs, norem.ys, norem.values - rem.values,
-                         Mode.NOREM, label=f"delta-{res.profile.label}")
+        delta = CrbField(norem.xs, norem.ys, norem.values - rem.values)
         outputs["delta"] = "field-delta.csv"
         H.write_field_csv(os.path.join(out_dir, "field-delta.csv"), delta)
     results = {}

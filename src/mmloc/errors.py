@@ -23,7 +23,7 @@ class SingularFisher(MmlocError):
 
 
 class AllTrialsFailed(MmlocError):
-    """Every Monte Carlo trial of an experiment raised."""
+    """Every Monte Carlo trial or map point of an experiment raised."""
 
 
 class EmptyResult(MmlocError):

@@ -251,6 +251,7 @@ def lm_refine(z: Observation, theta0: ParamVector, scenario: Scenario,
 # --------------------------------------------------------------------------
 
 def _grid_axis(lo: float, hi: float, spacing: float) -> np.ndarray:
+    """Nodes lo + k * spacing up to hi; a reversed pair is swapped."""
     if hi < lo:
         lo, hi = hi, lo
     n = max(int(math.floor((hi - lo) / spacing + _GRID_EPS)), 0)

@@ -256,8 +256,7 @@ def mc_rmse(scenario: Scenario, ue: Point2, mode: Mode, cfg: GapfConfig,
     paths = enumerate_paths(scenario, ue)
     paths = paths.subset(subset_indices(paths, subset))
     check_sufficiency(paths, mode)
-    truth = ParamVector.truth_from_paths(ue, paths, Mode.NOREM)
-    crb = rmse_crb(truth, paths, scenario, scenario.noise_profile, mode)
+    crb = rmse_crb(ue, paths, scenario, mode)
     runner = _TrialRunner(scenario, ue, paths, mode, cfg, seed, noiseless)
     chunks = _trial_chunks(n_trials, cfg.n_particles, workers)
     outcomes = [o for part in _run_all(runner, chunks, workers) for o in part]
@@ -301,12 +300,11 @@ def beamwidth_sweep(scenario: Scenario, ue: Point2,
         if not idx:
             continue
         sub = paths.subset(idx)
-        truth = ParamVector.truth_from_paths(ue, sub, Mode.NOREM)
         try:
-            # the floor ignores the angle columns, so any angle sigma works;
+            # the floor ignores the angle rows, so any angle sigma works;
             # what matters is using the swept distance sigma
-            dist_only[name] = rmse_crb_distance_only(
-                truth, sub, scenario, NoiseProfile.equal_angles(1.0, sigma_d))
+            dist_only[name] = rmse_crb_distance_only(ue, sub, _with_profile(
+                scenario, NoiseProfile.equal_angles(1.0, sigma_d)))
         except MmlocError:
             dist_only[name] = float("nan")
         for mode in modes:
@@ -317,7 +315,7 @@ def beamwidth_sweep(scenario: Scenario, ue: Point2,
                 prof = NoiseProfile.equal_angles(math.degrees(s), sigma_d)
                 sc = _with_profile(scenario, prof)
                 try:
-                    vals[k] = rmse_crb(truth, sub, sc, prof, mode)
+                    vals[k] = rmse_crb(ue, sub, sc, mode)
                 except MmlocError:
                     continue
                 if n_trials > 0:
@@ -344,7 +342,7 @@ def cdf_curve(scenario: Scenario, ue_grid: GridSpec,
     for prof in profiles:
         sc = _with_profile(scenario, prof)
         for mode in modes:
-            field = crb_grid(sc, ue_grid, prof, mode)
+            field = crb_grid(sc, ue_grid, mode)
             vals = np.sort(field.valid_values())
             probs = np.arange(1, vals.size + 1) / vals.size
             out[(prof.label, mode.value)] = np.column_stack([vals, probs])
@@ -389,7 +387,8 @@ class _MapRunner:
 def build_rem_map(scenario: Scenario, trajectory: Sequence[Point2],
                   cfg: GapfConfig, seed: int, workers: int = 1) -> RemMap:
     """Estimate (NoREM) at every trajectory point and collect the bounce
-    points with the measured parameters that located them."""
+    points with the measured parameters that located them.  Points that
+    raise are counted by cause; AllTrialsFailed if every point raises."""
     runner = _MapRunner(scenario, trajectory, cfg, seed)
     outcomes = _run_all(runner, range(len(trajectory)), workers)
     scatterers, source, params, failures = [], [], [], []
@@ -403,6 +402,9 @@ def build_rem_map(scenario: Scenario, trajectory: Sequence[Point2],
             params.append(meas)
     causes = dict(sorted(Counter(o for o in outcomes
                                  if isinstance(o, str)).items()))
+    if failures and len(failures) == len(trajectory):
+        raise AllTrialsFailed(
+            f"all {len(trajectory)} map points failed: {causes}")
     return RemMap(scatterers, source, params, tuple(failures), causes)
 
 

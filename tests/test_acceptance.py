@@ -88,11 +88,11 @@ def test_criterion_02_hand_computed_crb():
         math.degrees(0.1), math.degrees(0.1), 1.0)
     sc = Scenario((Wall(WallAxis.HORIZONTAL, -50.0, ReflectiveSide.POSITIVE),),
                   (Point2(0.0, 0.0),), prof)
-    paths = enumerate_paths(sc, Point2(10.0, 0.0)).subset([0])
-    theta = ParamVector.truth_from_paths(Point2(10.0, 0.0), paths, Mode.NOREM)
-    info = fisher(theta, paths, sc, prof)
+    ue = Point2(10.0, 0.0)
+    paths = enumerate_paths(sc, ue).subset([0])
+    info = fisher(ue, paths, sc, Mode.NOREM)
     np.testing.assert_allclose(info, [[1.0, 0.0], [0.0, 2.0]], atol=1e-9)
-    got = rmse_crb(theta, paths, sc, prof, Mode.NOREM)
+    got = rmse_crb(ue, paths, sc, Mode.NOREM)
     assert abs(got - math.sqrt(1.5)) < 1e-9, \
         f"rmse bound {got!r} != sqrt(1.5) within 1e-9"
 
@@ -159,7 +159,7 @@ def bound_fields():
             sc = scenario_preset(name, profile=prof)
             for mode in (Mode.NOREM, Mode.REM):
                 fields[(name, prof, mode.value)] = crb_grid(
-                    sc, grid_preset(name), noise_profile_preset(prof), mode)
+                    sc, grid_preset(name), mode)
     return fields
 
 

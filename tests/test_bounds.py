@@ -1,13 +1,15 @@
 """Fisher information and position error bounds."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from mmloc import (CrbField, GridSpec, Mode, NoiseProfile, ParamVector,
-                   Point2, ReflectiveSide, Scenario, SingularFisher, Wall,
-                   WallAxis, crb_grid, crb_report, enumerate_paths, fisher,
-                   noise_profile_preset, rmse_crb, rmse_crb_distance_only)
+from mmloc import (CrbField, DegenerateGeometry, GridSpec, Mode,
+                   NoiseProfile, ParamVector, Point2, ReflectiveSide,
+                   Scenario, SingularFisher, Wall, WallAxis, crb_grid,
+                   enumerate_paths, fisher, noise_profile_preset, rmse_crb,
+                   rmse_crb_distance_only)
 
 PROF73 = noise_profile_preset("73GHz")
 PROF28 = noise_profile_preset("28GHz")
@@ -16,13 +18,9 @@ CORNER = Scenario(
     (Wall(WallAxis.VERTICAL, 0.0, ReflectiveSide.POSITIVE),
      Wall(WallAxis.HORIZONTAL, 0.0, ReflectiveSide.POSITIVE)),
     (Point2(18.0, 10.0),), PROF73, name="corner")
+CORNER28 = replace(CORNER, noise_profile=PROF28)
 
 UE = Point2(8.0, 35.0)
-
-
-def _truth(scenario, ue):
-    ps = enumerate_paths(scenario, ue)
-    return ps, ParamVector.truth_from_paths(ue, ps, Mode.NOREM)
 
 
 # ---------------------------------------------------------------------------
@@ -37,20 +35,19 @@ def _single_los_setup():
         math.degrees(0.1), math.degrees(0.1), 1.0)
     sc = Scenario((Wall(WallAxis.HORIZONTAL, -50.0, ReflectiveSide.POSITIVE),),
                   (Point2(0.0, 0.0),), prof)
-    ps = enumerate_paths(sc, Point2(10.0, 0.0)).subset([0])
-    theta = ParamVector.truth_from_paths(Point2(10.0, 0.0), ps, Mode.NOREM)
-    return sc, ps, theta, prof
+    ue = Point2(10.0, 0.0)
+    return sc, enumerate_paths(sc, ue).subset([0]), ue
 
 
 def test_hand_fisher_single_los():
-    sc, ps, theta, prof = _single_los_setup()
-    info = fisher(theta, ps, sc, prof)
+    sc, ps, ue = _single_los_setup()
+    info = fisher(ue, ps, sc, Mode.NOREM)
     np.testing.assert_allclose(info, [[1.0, 0.0], [0.0, 2.0]], atol=1e-12)
 
 
 def test_hand_rmse_single_los():
-    sc, ps, theta, prof = _single_los_setup()
-    assert rmse_crb(theta, ps, sc, prof, Mode.NOREM) == pytest.approx(
+    sc, ps, ue = _single_los_setup()
+    assert rmse_crb(ue, ps, sc, Mode.NOREM) == pytest.approx(
         math.sqrt(1.5), abs=1e-9)
 
 
@@ -58,9 +55,9 @@ def test_hand_distance_only_two_los():
     # orthogonal unit range directions: bound is sigma_d * sqrt(2)
     sc = Scenario((Wall(WallAxis.VERTICAL, -50.0, ReflectiveSide.POSITIVE),),
                   (Point2(0.0, 0.0), Point2(10.0, 10.0)), PROF73)
-    ps = enumerate_paths(sc, Point2(0.0, 10.0)).subset([0, 1])
-    theta = ParamVector.truth_from_paths(Point2(0.0, 10.0), ps, Mode.NOREM)
-    got = rmse_crb_distance_only(theta, ps, sc, PROF73)
+    ue = Point2(0.0, 10.0)
+    ps = enumerate_paths(sc, ue).subset([0, 1])
+    got = rmse_crb_distance_only(ue, ps, sc)
     assert got == pytest.approx(0.75 * math.sqrt(2.0), abs=1e-9)
 
 
@@ -70,45 +67,45 @@ def test_hand_distance_only_two_los():
 
 @pytest.mark.parametrize("mode", [Mode.NOREM, Mode.REM])
 def test_fisher_symmetric_positive_definite(mode):
-    ps, theta = _truth(CORNER, UE)
-    th = theta if mode is Mode.NOREM else ParamVector(UE, (), Mode.REM)
-    info = fisher(th, ps, CORNER, PROF73, )
+    ps = enumerate_paths(CORNER, UE)
+    dim = ParamVector.truth_from_paths(UE, ps, mode).dim
+    info = fisher(UE, ps, CORNER, mode)
     np.testing.assert_array_equal(info, info.T)
-    assert info.shape == (th.dim, th.dim)
+    assert info.shape == (dim, dim)
     assert np.linalg.eigvalsh(info).min() > 0.0
 
 
 def test_rem_never_worse_than_norem():
     for ue in [Point2(8.0, 35.0), Point2(15.0, 15.0), Point2(3.0, 44.0)]:
-        ps, theta = _truth(CORNER, ue)
-        norem = rmse_crb(theta, ps, CORNER, PROF73, Mode.NOREM)
-        rem = rmse_crb(theta, ps, CORNER, PROF73, Mode.REM)
+        ps = enumerate_paths(CORNER, ue)
+        norem = rmse_crb(ue, ps, CORNER, Mode.NOREM)
+        rem = rmse_crb(ue, ps, CORNER, Mode.REM)
         assert rem <= norem + 1e-12
 
 
 def test_narrower_beams_help():
-    ps, theta = _truth(CORNER, UE)
+    ps = enumerate_paths(CORNER, UE)
     for mode in (Mode.NOREM, Mode.REM):
-        assert (rmse_crb(theta, ps, CORNER, PROF73, mode)
-                <= rmse_crb(theta, ps, CORNER, PROF28, mode))
+        assert (rmse_crb(UE, ps, CORNER, mode)
+                <= rmse_crb(UE, ps, CORNER28, mode))
 
 
 def test_single_nlos_identifiable_only_with_known_bounce():
-    ps, theta = _truth(CORNER, UE)
+    ps = enumerate_paths(CORNER, UE)
     one = ps.subset([1])
-    th = ParamVector.truth_from_paths(UE, one, Mode.NOREM)
     with pytest.raises(SingularFisher):
-        rmse_crb(th, one, CORNER, PROF73, Mode.NOREM)
-    assert rmse_crb(th, one, CORNER, PROF73, Mode.REM) > 0.0
+        rmse_crb(UE, one, CORNER, Mode.NOREM)
+    assert rmse_crb(UE, one, CORNER, Mode.REM) > 0.0
 
 
 def test_rem_bound_approaches_distance_only_floor():
     """With huge angle noise the known-bounce bound collapses onto the
     distance-only bound."""
-    ps, theta = _truth(CORNER, UE)
+    ps = enumerate_paths(CORNER, UE)
     wide = NoiseProfile.equal_angles(1000.0, sigma_d=0.75)
-    rem = rmse_crb(theta, ps, CORNER, wide, Mode.REM)
-    floor = rmse_crb_distance_only(theta, ps, CORNER, wide)
+    sc = replace(CORNER, noise_profile=wide)
+    rem = rmse_crb(UE, ps, sc, Mode.REM)
+    floor = rmse_crb_distance_only(UE, ps, sc)
     assert rem <= floor
     assert abs(rem - floor) / floor < 1e-3
 
@@ -116,36 +113,17 @@ def test_rem_bound_approaches_distance_only_floor():
 def test_path_subsets_order_information():
     # more paths cannot raise the bound; at this geometry the LOS path
     # alone also beats the two unknown-bounce reflections
-    ps, theta = _truth(CORNER, UE)
-    full = rmse_crb(theta, ps, CORNER, PROF73, Mode.NOREM)
-    los = ps.subset([0])
-    los_rmse = rmse_crb(ParamVector.truth_from_paths(UE, los, Mode.NOREM),
-                        los, CORNER, PROF73, Mode.NOREM)
-    nlos = ps.subset([1, 2])
-    nlos_rmse = rmse_crb(ParamVector.truth_from_paths(UE, nlos, Mode.NOREM),
-                         nlos, CORNER, PROF73, Mode.NOREM)
+    ps = enumerate_paths(CORNER, UE)
+    full = rmse_crb(UE, ps, CORNER, Mode.NOREM)
+    los_rmse = rmse_crb(UE, ps.subset([0]), CORNER, Mode.NOREM)
+    nlos_rmse = rmse_crb(UE, ps.subset([1, 2]), CORNER, Mode.NOREM)
     assert full <= los_rmse <= nlos_rmse
 
 
-def test_report_is_consistent():
-    ps, theta = _truth(CORNER, UE)
-    rep = crb_report(theta, ps, CORNER, PROF73, Mode.NOREM)
-    np.testing.assert_array_equal(rep.fisher, fisher(theta, ps, CORNER, PROF73))
-    assert rep.rmse_crb == rmse_crb(theta, ps, CORNER, PROF73, Mode.NOREM)
-    diag = rep.crlb_diagonal
-    assert diag.shape == (theta.dim,)
-    assert (diag > 0.0).all()
-    assert rep.rmse_crb == pytest.approx(math.sqrt(diag[0] + diag[1]))
-    sv = rep.scatterer_variances
-    assert sv.shape == (2,) and (sv > 0.0).all()
-
-
 def test_degenerate_theta_raises():
-    from mmloc import DegenerateGeometry
-    ps, _ = _truth(CORNER, UE)
-    on_fe = ParamVector(Point2(18.0, 10.0), (), Mode.REM)
+    ps = enumerate_paths(CORNER, UE)
     with pytest.raises(DegenerateGeometry):
-        fisher(on_fe, ps, CORNER, PROF73)
+        fisher(Point2(18.0, 10.0), ps, CORNER, Mode.REM)
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +148,7 @@ def test_crb_grid_shapes_and_masking(mode):
     sc = Scenario((Wall(WallAxis.VERTICAL, 0.0, ReflectiveSide.POSITIVE),),
                   (fe,), PROF73, name="strip")
     grid = GridSpec(8.0, 12.0, 18.0, 22.0, 0.5)
-    field = crb_grid(sc, grid, PROF73, mode)
+    field = crb_grid(sc, grid, mode)
     assert isinstance(field, CrbField)
     xs, ys = grid.axes()
     assert field.values.shape == (xs.size, ys.size)
@@ -190,8 +168,29 @@ def test_crb_grid_rem_dominates_pointwise():
     sc = Scenario((Wall(WallAxis.VERTICAL, 0.0, ReflectiveSide.POSITIVE),),
                   (Point2(8.0, 2.0),), PROF73, name="strip")
     grid = GridSpec(2.0, 14.0, 4.0, 16.0, 2.0)
-    a = crb_grid(sc, grid, PROF73, Mode.NOREM).values
-    b = crb_grid(sc, grid, PROF73, Mode.REM).values
+    a = crb_grid(sc, grid, Mode.NOREM).values
+    b = crb_grid(sc, grid, Mode.REM).values
     both = np.isfinite(a) & np.isfinite(b)
     assert both.any()
     assert (b[both] <= a[both] + 1e-12).all()
+
+
+@pytest.mark.parametrize("mode", [Mode.NOREM, Mode.REM])
+def test_crb_grid_is_rmse_crb_per_node_with_the_scenario_noise(mode):
+    grid = GridSpec(2.0, 14.0, 24.0, 36.0, 4.0)
+    field = crb_grid(CORNER28, grid, mode).values
+    xs, ys = grid.axes()
+    want = np.full_like(field, np.nan)
+    for i, x in enumerate(xs):
+        for j, y in enumerate(ys):
+            ue = Point2(float(x), float(y))
+            try:
+                want[i, j] = rmse_crb(ue, enumerate_paths(CORNER28, ue),
+                                      CORNER28, mode)
+            except (DegenerateGeometry, SingularFisher):
+                pass
+    np.testing.assert_array_equal(field, want)
+    at73 = crb_grid(CORNER, grid, mode).values
+    both = np.isfinite(field) & np.isfinite(at73)
+    assert both.any()
+    assert (field[both] > at73[both]).all()  # wider 28 GHz beams

@@ -6,8 +6,9 @@ import os
 import pytest
 import yaml
 
+import mmloc.estimator
 import mmloc.harness
-from mmloc import AllTrialsFailed
+from mmloc import AllTrialsFailed, DegenerateGeometry
 from mmloc.cli import main, validate_config
 
 LIGHT_EST = {"n_particles": 16, "n_iterations": 6}
@@ -357,6 +358,25 @@ def test_remmap_runs_on_preset_scenario(tmp_path, capsys):
     lines = (out / "remmap.csv").read_text().strip().splitlines()
     assert lines[0] == "x,y,ue_x,ue_y,alpha,beta,d"
     assert summary["results"]["n_entries"] == len(lines) - 1 == 6
+
+
+def test_remmap_with_every_point_failed_exits_3(tmp_path, capsys,
+                                                monkeypatch):
+    def degenerate(*a, **k):
+        raise DegenerateGeometry("injected")
+    monkeypatch.setattr(mmloc.estimator, "grid_init", degenerate)
+    out = tmp_path / "out"
+    cfg = _write_cfg(tmp_path, {
+        "scenario": "corner-2fe", "workers": 1, "output_dir": str(out),
+        "estimator": LIGHT_EST, "experiment": {"n_points": 3},
+    })
+    code, payload = _run(capsys, ["remmap", "--config", cfg])
+    assert code == 3
+    err = payload["error"]
+    assert err["type"] == "ExperimentError"
+    assert err["cause"] == "AllTrialsFailed"
+    assert "DegenerateGeometry" in err["message"]
+    assert not (out / "remmap.csv").exists()
 
 
 def test_remmap_requires_a_preset_trajectory(tmp_path, capsys):

@@ -6,11 +6,11 @@ import pytest
 
 import mmloc.estimator as E
 import mmloc.harness as H
-from mmloc import (EXAMPLE_UES, SCENARIO_NAMES, DegenerateGeometry,
-                   GapfConfig, GridSpec, McResult, Mode, PathKind, Point2, RemMap,
-                   beamwidth_sweep, build_rem_map, cdf_curve, crb_grid,
-                   enumerate_paths, grid_preset, mc_rmse,
-                   noise_profile_preset, rmse_from_estimates,
+from mmloc import (EXAMPLE_UES, SCENARIO_NAMES, AllTrialsFailed,
+                   DegenerateGeometry, GapfConfig, GridSpec, McResult, Mode,
+                   PathKind, Point2, RemMap, beamwidth_sweep, build_rem_map,
+                   cdf_curve, crb_grid, enumerate_paths, grid_preset,
+                   mc_rmse, noise_profile_preset, rmse_from_estimates,
                    scenario_preset, subset_indices, trajectory_preset,
                    write_cdf_csv, write_field_csv, write_remmap_csv,
                    write_sweep_csv)
@@ -200,6 +200,17 @@ def test_sweep_orderings(small_sweep):
         assert (rem <= sw.distance_only[subset] + 1e-9).all()
 
 
+def test_sweep_distance_only_follows_sigma_d(small_sweep):
+    # the floor takes the swept sigma_d, not the scenario's own profile;
+    # doubling sigma_d scales every step by a power of two, so exactly 2x
+    sc = scenario_preset("corner-1fe", profile="28GHz")
+    sw = beamwidth_sweep(sc, Point2(8.0, 35.0), [math.radians(5.0)],
+                         subsets=("all", "nlos"), n_trials=0, sigma_d=1.5)
+    for subset in ("all", "nlos"):
+        assert sw.distance_only[subset] == \
+            2.0 * small_sweep.distance_only[subset]
+
+
 def test_sweep_los_distance_only_is_undefined():
     sc = scenario_preset("corner-1fe")
     sw = beamwidth_sweep(sc, Point2(8.0, 35.0), [math.radians(5.0)],
@@ -277,6 +288,13 @@ def test_build_rem_map_counts_failure_causes(monkeypatch):
                failure_causes={"DegenerateGeometry": 1})
 
 
+def test_build_rem_map_with_no_usable_point_raises():
+    sc = scenario_preset("corner-2fe")
+    behind_walls = [Point2(-1.0, 5.0), Point2(5.0, -2.0)]
+    with pytest.raises(AllTrialsFailed, match="DegenerateGeometry"):
+        build_rem_map(sc, behind_walls, GapfConfig(), seed=0)
+
+
 # ---------------------------------------------------------------------------
 # CSV writers
 # ---------------------------------------------------------------------------
@@ -321,7 +339,7 @@ def test_cdf_csv_round_trip(tmp_path, coarse_cdf):
 def test_field_csv_round_trip(tmp_path):
     sc = scenario_preset("corner-1fe")
     grid = GridSpec(2.0, 18.0, 4.0, 48.0, 8.0)
-    field = crb_grid(sc, grid, noise_profile_preset("73GHz"), Mode.REM)
+    field = crb_grid(sc, grid, Mode.REM)
     out = tmp_path / "field.csv"
     write_field_csv(out, field)
     head, rows = _read_rows(out)

@@ -1,7 +1,7 @@
-"""Per-layer timings of the forward model, the LM refinement and the grid
-init.
+"""Per-layer timings of the forward model, the LM refinement, the grid
+init and the bound layer.
 
-    python3 tools/layer_bench.py --out BENCH_9.json
+    python3 tools/layer_bench.py --out BENCH_10.json
 
 Times `PathGeometry.h_jacobian_valid` and `estimator._lm_refine_batch` in
 microseconds per parameter row, at 16 and 4096 rows, in NoREM and REM, on
@@ -24,6 +24,10 @@ benchmark scenes, `corner-1fe` with the UE at (8, 35), in NoREM:
   call, averaged over FAULT_CALLS calls after a warm-up.  How many pages
   the allocator hands back depends on what the process allocated before,
   so these layers run first.
+
+The bound layer is timed on `corner-2fe` in NoREM and REM: `rmse_crb` in
+microseconds per call at the track point above, and `crb_grid` in
+microseconds per node over the scene's preset grid (1000 nodes).
 
 Times are CPU seconds of this process with one BLAS thread, so time the
 host holds the process off the CPU is left out.  Each figure is the median
@@ -51,9 +55,9 @@ import numpy as np
 
 import mmloc
 from mmloc import (GapfConfig, LikelihoodEngine, Mode, NoiseProfile,
-                   ParamVector, Point2, enumerate_paths, grid_init,
-                   scenario_preset, subset_indices, synthesize,
-                   trajectory_preset)
+                   ParamVector, Point2, crb_grid, enumerate_paths,
+                   grid_init, grid_preset, rmse_crb, scenario_preset,
+                   subset_indices, synthesize, trajectory_preset)
 from mmloc.estimator import _best_scatterer, _lm_refine_batch
 
 SCENE = "corner-2fe"
@@ -77,12 +81,14 @@ def _block_seconds(call) -> float:
             return spent / calls
 
 
-def _time(call, rows: int) -> dict:
+def _time(call, count: int, unit: str = "row") -> dict:
+    """Median microseconds per unit over REPEATS blocks; one call does
+    count units of work."""
     call()  # warm-up, off the clock
-    blocks = [1e6 * _block_seconds(call) / rows
+    blocks = [1e6 * _block_seconds(call) / count
               for _ in range(REPEATS)]
-    return {"us_per_row": statistics.median(blocks),
-            "blocks_us_per_row": blocks}
+    return {f"us_per_{unit}": statistics.median(blocks),
+            f"blocks_us_per_{unit}": blocks}
 
 
 def _lm_counts(eng, thetas, cfg) -> dict:
@@ -126,9 +132,7 @@ def _grid_init_layers() -> list:
     out = []
 
     def record(layer, call, scene, **extra):
-        fig = _time(call, 1)
-        fig = {"us_per_call": fig["us_per_row"],
-               "blocks_us_per_call": fig["blocks_us_per_row"], **extra}
+        fig = {**_time(call, 1, "call"), **extra}
         out.append({"layer": layer, "scene": scene, "mode": "NoREM", **fig})
         more = "".join(f" {k} {v:.4g}" for k, v in extra.items())
         print(f"{layer:45s} {scene:16s} {fig['us_per_call']:10.1f} "
@@ -161,6 +165,29 @@ def _grid_init_layers() -> list:
     return out
 
 
+def _bound_layers(scenario, ue, paths) -> list:
+    """rmse_crb per call at ue and crb_grid per node over SCENE's preset
+    grid, in each mode."""
+    grid = grid_preset(SCENE)
+    xs, ys = grid.axes()
+    nodes = xs.size * ys.size
+    out = []
+    for mode in (Mode.NOREM, Mode.REM):
+        layers = (
+            ("bounds.rmse_crb", lambda: rmse_crb(ue, paths, scenario, mode),
+             1, "call"),
+            ("bounds.crb_grid", lambda: crb_grid(scenario, grid, mode),
+             nodes, "node"),
+        )
+        for layer, call, count, unit in layers:
+            fig = _time(call, count, unit)
+            out.append({"layer": layer, "scene": SCENE, "mode": mode.value,
+                        "units_per_call": count, **fig})
+            print(f"{layer:45s} {mode.value:5s} "
+                  f"{fig['us_per_' + unit]:10.1f} us/{unit}", file=sys.stderr)
+    return out
+
+
 def run() -> dict:
     scenario = scenario_preset(SCENE)
     ue = trajectory_preset(SCENE)[TRACK_POINT]
@@ -169,6 +196,7 @@ def run() -> dict:
     z = synthesize(truth, paths, scenario, 1)
     cfg = GapfConfig()
     results = _grid_init_layers()  # first: their page faults follow the heap
+    results += _bound_layers(scenario, ue, paths)
     for mode in (Mode.NOREM, Mode.REM):
         eng = LikelihoodEngine(z, scenario, mode)
         start = ParamVector.truth_from_paths(ue, paths, mode).to_array()
