@@ -16,7 +16,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
 from typing import Optional
 
 import numpy as np
@@ -44,7 +43,7 @@ _MODES = {"NoREM": (Mode.NOREM,), "REM": (Mode.REM,),
 
 _TOP_KEYS = {"scenario", "profile", "mode", "ue", "seed", "output_dir",
              "workers", "estimator", "experiment", "grid"}
-# rng_seed is derived per run from seed, not config surface
+# the estimator's seeds derive per run from seed, not config surface
 _ESTIMATOR_KEYS = {"n_particles", "n_iterations", "process_std_position",
                    "anneal_factor", "lm_max_iters", "lm_tolerance",
                    "grid_spacing"}
@@ -417,18 +416,16 @@ def _emit(out_dir: str, command: str, summary: dict) -> str:
 def _cmd_estimate(res: _Resolver, out_dir: str) -> dict:
     sc, ue, cfg = res.scenario, res.ue, res.estimator
     noiseless = res.experiment["noiseless"]
-    rows = []
-    iterations = {}
+    paths = enumerate_paths(sc, ue)
+    truth = ParamVector.truth_from_paths(ue, paths, Mode.NOREM)
+    synth_ss, est_seed = H.trial_seeds(res.seed, 0)
+    if noiseless:
+        obs = noiseless_observation(truth, paths, sc)
+    else:
+        obs = synthesize(truth, paths, sc, np.random.default_rng(synth_ss))
+    rows, iterations = [], {}
     for mode in res.modes:
-        paths = enumerate_paths(sc, ue)
-        truth = ParamVector.truth_from_paths(ue, paths, Mode.NOREM)
-        synth_ss, est_seed = H.trial_seeds(res.seed, 0)
-        if noiseless:
-            obs = noiseless_observation(truth, paths, sc)
-        else:
-            obs = synthesize(truth, paths, sc,
-                             np.random.default_rng(synth_ss))
-        rep = run_estimator(obs, sc, mode, replace(cfg, rng_seed=est_seed))
+        rep = run_estimator(obs, sc, mode, cfg, [est_seed])
         m = mode.value
         rows += [[m, "ue_x_true", _fmt(ue.x)], [m, "ue_y_true", _fmt(ue.y)],
                  [m, "ue_x_est", _fmt(rep.theta_hat.ue.x)],
@@ -458,7 +455,7 @@ def _cmd_estimate(res: _Resolver, out_dir: str) -> dict:
 
 
 def _cmd_mc(res: _Resolver, out_dir: str) -> dict:
-    rows = []
+    rows, causes = [], {}
     for mode in res.modes:
         r = H.mc_rmse(res.scenario, res.ue, mode, res.estimator,
                       res.experiment["n_trials"], res.seed,
@@ -466,6 +463,7 @@ def _cmd_mc(res: _Resolver, out_dir: str) -> dict:
                       noiseless=res.experiment["noiseless"])
         rows.append([mode.value, _fmt(r.rmse_est), _fmt(r.rmse_crb),
                      str(r.n_trials), str(r.failures), str(r.seed)])
+        causes[mode.value] = r.failure_causes
     csv_path = os.path.join(out_dir, "mc.csv")
     _write_rows(csv_path, ["mode", "rmse_est", "rmse_crb", "n_trials",
                            "failures", "seed"], rows)
@@ -475,7 +473,8 @@ def _cmd_mc(res: _Resolver, out_dir: str) -> dict:
         results[r[0]] = {"rmse_est": est, "rmse_crb": crb,
                          "ratio": est / crb, "n_trials": int(r[3]),
                          "failures": int(r[4])}
-    return _summary("mc", res, {"mc": "mc.csv"}, results, {})
+    return _summary("mc", res, {"mc": "mc.csv"}, results,
+                    {"failure_causes": causes})
 
 
 def _cmd_sweep(res: _Resolver, out_dir: str) -> dict:
@@ -568,7 +567,8 @@ def _cmd_remmap(res: _Resolver, out_dir: str) -> dict:
                "y_max": max(ys) if ys else None}
     return _summary("remmap", res, {"remmap": "remmap.csv"}, results,
                     {"n_points": len(traj), "failed_points":
-                     list(remmap.failures)})
+                     list(remmap.failures),
+                     "failure_causes": remmap.failure_causes})
 
 
 _RUNNERS = {"estimate": _cmd_estimate, "mc": _cmd_mc, "sweep": _cmd_sweep,

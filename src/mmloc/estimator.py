@@ -32,6 +32,7 @@ _SEARCH_PAD = 3.0  # meters added to measured distances when boxing searches
 _JOINT_PRUNE = 50.0  # joint-grid cost past which a bounce node cannot win
 _JOINT_SEEDS = 8  # ray-seeded UE nodes scored exactly to bound the joint grid
 _JOINT_CHUNK = 1 << 16  # (UE node, bounce node) pairs scored per array pass
+_MAX_GRID_NODES = 1 << 20  # 27x the largest preset search box (38,416)
 
 
 @dataclass(frozen=True)
@@ -53,7 +54,6 @@ class GapfConfig:
     lm_max_iters: int = 30
     lm_tolerance: float = 1e-9
     grid_spacing: float = 1.0
-    rng_seed: int = 0
 
     def __post_init__(self):
         for name in ("n_particles", "n_iterations", "lm_max_iters"):
@@ -250,19 +250,30 @@ def lm_refine(z: Observation, theta0: ParamVector, scenario: Scenario,
 # staged grid initialization
 # --------------------------------------------------------------------------
 
-def _grid_axis(lo: float, hi: float, spacing: float) -> np.ndarray:
-    """Nodes lo + k * spacing up to hi; a reversed pair is swapped."""
+def _axis_span(lo: float, hi: float, spacing: float) -> tuple[float, int]:
+    """First node and node count of lo + k * spacing up to hi; a reversed
+    pair is swapped."""
     if hi < lo:
         lo, hi = hi, lo
-    n = max(int(math.floor((hi - lo) / spacing + _GRID_EPS)), 0)
-    return lo + spacing * np.arange(n + 1)
+    return lo, max(int(math.floor((hi - lo) / spacing + _GRID_EPS)), 0) + 1
+
+
+def _grid_axis(lo: float, hi: float, spacing: float) -> np.ndarray:
+    lo, n = _axis_span(lo, hi, spacing)
+    return lo + spacing * np.arange(n)
 
 
 def _grid_nodes(box: tuple[float, float, float, float],
                 spacing: float) -> np.ndarray:
-    xs = _grid_axis(box[0], box[1], spacing)
-    ys = _grid_axis(box[2], box[3], spacing)
-    gx, gy = np.meshgrid(xs, ys, indexing="ij")
+    """Every node of the box; DegenerateGeometry, before anything is
+    allocated, if there are more than _MAX_GRID_NODES."""
+    (x0, nx), (y0, ny) = (_axis_span(box[0], box[1], spacing),
+                          _axis_span(box[2], box[3], spacing))
+    if nx * ny > _MAX_GRID_NODES:
+        raise DegenerateGeometry(f"a {nx} x {ny} node search box exceeds "
+                                 f"{_MAX_GRID_NODES} nodes")
+    gx, gy = np.meshgrid(x0 + spacing * np.arange(nx),
+                         y0 + spacing * np.arange(ny), indexing="ij")
     return np.column_stack([gx.ravel(), gy.ravel()])
 
 
@@ -647,7 +658,7 @@ def estimate(z, scenario: Scenario, mode: Mode, cfg: GapfConfig,
     z is one Observation, or a sequence of observations of one path set
     (say, the trials of a Monte-Carlo run) filtered as one batch.  Each
     observation keeps its own grid init and its own filter streams, seeded
-    by seeds (default: cfg.rng_seed for every observation); each filter
+    by seeds (default: 0 for every observation); each filter
     pass refines every observation's particles in one call.  An
     observation's estimate is the same, bit for bit, alone or at any
     place in any batch.
@@ -663,7 +674,7 @@ def estimate(z, scenario: Scenario, mode: Mode, cfg: GapfConfig,
             raise out
         return out
     zs = list(z)
-    seeds = [cfg.rng_seed] * len(zs) if seeds is None else list(seeds)
+    seeds = [0] * len(zs) if seeds is None else list(seeds)
     if len(seeds) != len(zs):
         raise ValueError("need one seed per observation")
     out: list = [None] * len(zs)

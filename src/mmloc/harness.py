@@ -1,12 +1,13 @@
 """Experiment drivers: Monte-Carlo estimator runs, angular-noise sweeps,
 CDF curves over UE grids, bound fields, and scatterer-map construction.
 
-All randomness derives from one integer seed: trial i of an experiment
-uses SeedSequence(seed, spawn_key=(i,)) split once for the synthesizer
-and once for the estimator, so results are reproducible regardless of
-worker count, scheduling and batch composition: Monte-Carlo trials are
-filtered in batches (see estimator.estimate), and a trial's estimate is
-the same bits in any batch.
+Monte-Carlo trials and map points are one kind of trial, run by one
+runner (_run_range): trial i synthesizes at its UE from one integer seed,
+through SeedSequence(seed, spawn_key=(i,)) split once for the synthesizer
+and once for the estimator, and trials of one path set are filtered in
+batches (see estimator.estimate), where a trial's estimate is the same
+bits in any batch.  So results do not depend on the worker count,
+scheduling or batch composition, and nor do the failure causes counted.
 """
 from __future__ import annotations
 
@@ -15,6 +16,8 @@ import math
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
+from itertools import groupby
 from typing import Optional, Sequence
 
 import numpy as np
@@ -29,7 +32,7 @@ from .measurement import (Mode, NoiseProfile, ParamVector,
                           noise_profile_preset, noiseless_observation,
                           synthesize)
 
-_BATCH_ROWS = 1 << 12  # (trial, particle) rows per Monte-Carlo filter batch
+_BATCH_ROWS = 1 << 12  # (trial, particle) filter rows per chunk of trials
 
 # --------------------------------------------------------------------------
 # canonical scenes
@@ -130,7 +133,7 @@ class SweepResult:
     ue: Point2
 
 
-@dataclass(eq=False)
+@dataclass
 class RemMap:
     """Scatterer positions recovered along a trajectory, each with the
     trajectory point and measured path parameters that produced it.
@@ -188,15 +191,14 @@ def _run_all(fn, items: Sequence, workers: int) -> list:
     if workers <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items,
-                             chunksize=max(1, len(items) // (workers * 4))))
+        return list(pool.map(fn, items))
 
 
 def _trial_chunks(n_trials: int, n_particles: int,
                   workers: int) -> list[range]:
-    """Contiguous trial ranges, each one filter batch of at most
-    _BATCH_ROWS rows; with workers > 1, split at least workers ways when
-    there are that many trials."""
+    """Contiguous trial ranges of at most _BATCH_ROWS filter rows each;
+    with workers > 1, split at least workers ways when there are that
+    many trials."""
     size = max(1, _BATCH_ROWS // n_particles)
     if workers > 1:
         size = min(size, -(-n_trials // workers))
@@ -204,41 +206,68 @@ def _trial_chunks(n_trials: int, n_particles: int,
             for a in range(0, n_trials, size)]
 
 
-class _TrialRunner:
-    """Picklable closure that runs a range of trials as one filter batch;
-    gives per trial its UE estimate, or the type name of the MmlocError
-    that failed it."""
+def _ue_estimate(obs, rep) -> tuple[float, float]:
+    return rep.theta_hat.ue.x, rep.theta_hat.ue.y
 
-    def __init__(self, scenario, ue, paths, mode, cfg, seed, noiseless):
-        self.args = (scenario, ue, paths, mode, cfg, seed, noiseless)
 
-    def __call__(self, indices: range) -> list:
-        scenario, ue, paths, mode, cfg, seed, noiseless = self.args
-        truth = ParamVector.truth_from_paths(ue, paths, Mode.NOREM)
-        out: list = [None] * len(indices)
-        at, batch, seeds = [], [], []
-        for k, i in enumerate(indices):
-            synth_ss, est_seed = trial_seeds(seed, i)
-            try:
-                if noiseless:
-                    obs = noiseless_observation(truth, paths, scenario)
-                else:
-                    obs = synthesize(truth, paths, scenario,
-                                     np.random.default_rng(synth_ss))
-            except MmlocError as err:
-                out[k] = type(err).__name__
-                continue
-            at.append(k)
-            batch.append(obs)
-            seeds.append(est_seed)
+def _map_entries(obs, rep) -> list:
+    """(bounce point, path index, measured (alpha, beta, d)) per NLOS path."""
+    return [(rep.theta_hat.scatterers[p.scatterer_index], j,
+             (float(obs.alpha[j]), float(obs.beta[j]), float(obs.dist[j])))
+            for j, p in enumerate(obs.paths) if p.kind is PathKind.NLOS]
+
+
+def _run_range(scenario, ues, mode, cfg, seed, keep, subset, noiseless,
+               indices: range) -> list:
+    """Runs the trials indices of an experiment: trial i synthesizes at
+    ues[i] over the subset's paths from trial_seeds(seed, i), and each
+    stretch of consecutive trials of one path set is filtered as one batch
+    (see estimator.estimate).  Gives per trial keep(observation, report),
+    or the type name of the MmlocError that failed it."""
+    out: list = [None] * len(indices)
+    trials, known = [], {}  # known: UE -> (paths, truth); MC has one UE
+    for k, i in enumerate(indices):
+        synth_ss, est_seed = trial_seeds(seed, i)
+        try:
+            if ues[i] not in known:
+                paths = enumerate_paths(scenario, ues[i])
+                paths = paths.subset(subset_indices(paths, subset))
+                known[ues[i]] = paths, ParamVector.truth_from_paths(
+                    ues[i], paths, Mode.NOREM)
+            paths, truth = known[ues[i]]
+            obs = noiseless_observation(truth, paths, scenario) \
+                if noiseless else synthesize(truth, paths, scenario,
+                                             np.random.default_rng(synth_ss))
+        except MmlocError as err:
+            out[k] = type(err).__name__
+            continue
+        trials.append((k, obs, est_seed))
+    for _, run in groupby(trials, key=lambda t: t[1].paths):
+        at, batch, seeds = zip(*run)
         try:
             reports = estimate(batch, scenario, mode, cfg, seeds)
         except MmlocError as err:  # shared by every trial of the batch
             reports = [err] * len(batch)
-        for k, rep in zip(at, reports):
+        for k, obs, rep in zip(at, batch, reports):
             out[k] = type(rep).__name__ if isinstance(rep, MmlocError) \
-                else (rep.theta_hat.ue.x, rep.theta_hat.ue.y)
-        return out
+                else keep(obs, rep)
+    return out
+
+
+def _run_trials(scenario, ues, mode, cfg, seed, keep, workers, noun,
+                subset="all", noiseless=False) -> tuple[list, dict]:
+    """Every trial's outcome (see _run_range), in order, run in contiguous
+    chunks (see _trial_chunks), and the failures counted by cause;
+    AllTrialsFailed if every trial failed."""
+    runner = partial(_run_range, scenario, tuple(ues), mode, cfg, seed, keep,
+                     subset, noiseless)
+    chunks = _trial_chunks(len(ues), cfg.n_particles, workers)
+    outcomes = [o for part in _run_all(runner, chunks, workers) for o in part]
+    failed = [o for o in outcomes if isinstance(o, str)]
+    causes = dict(sorted(Counter(failed).items()))
+    if failed and len(failed) == len(outcomes):
+        raise AllTrialsFailed(f"all {len(outcomes)} {noun} failed: {causes}")
+    return outcomes, causes
 
 
 def mc_rmse(scenario: Scenario, ue: Point2, mode: Mode, cfg: GapfConfig,
@@ -257,14 +286,10 @@ def mc_rmse(scenario: Scenario, ue: Point2, mode: Mode, cfg: GapfConfig,
     paths = paths.subset(subset_indices(paths, subset))
     check_sufficiency(paths, mode)
     crb = rmse_crb(ue, paths, scenario, mode)
-    runner = _TrialRunner(scenario, ue, paths, mode, cfg, seed, noiseless)
-    chunks = _trial_chunks(n_trials, cfg.n_particles, workers)
-    outcomes = [o for part in _run_all(runner, chunks, workers) for o in part]
+    outcomes, causes = _run_trials(scenario, (ue,) * n_trials, mode, cfg,
+                                   seed, _ue_estimate, workers, "trials",
+                                   subset, noiseless)
     hits = [o for o in outcomes if not isinstance(o, str)]
-    causes = dict(sorted(Counter(o for o in outcomes
-                                 if isinstance(o, str)).items()))
-    if not hits:
-        raise AllTrialsFailed(f"all {n_trials} trials failed: {causes}")
     return McResult(rmse_from_estimates(ue, hits), crb, n_trials,
                     n_trials - len(hits), seed, causes)
 
@@ -353,59 +378,22 @@ def cdf_curve(scenario: Scenario, ue_grid: GridSpec,
     return out
 
 
-class _MapRunner:
-    """Picklable per-point map-building step; gives the point's map
-    entries, or the type name of the MmlocError that failed it."""
-
-    def __init__(self, scenario, trajectory, cfg, seed):
-        self.args = (scenario, tuple(trajectory), cfg, seed)
-
-    def __call__(self, index: int):
-        scenario, trajectory, cfg, seed = self.args
-        ue = trajectory[index]
-        try:
-            paths = enumerate_paths(scenario, ue)
-            truth = ParamVector.truth_from_paths(ue, paths, Mode.NOREM)
-            synth_ss, est_seed = trial_seeds(seed, index)
-            obs = synthesize(truth, paths, scenario,
-                             np.random.default_rng(synth_ss))
-            rep = estimate(obs, scenario, Mode.NOREM,
-                           replace(cfg, rng_seed=est_seed))
-            entries = []
-            for j, path in enumerate(paths):
-                if path.kind is not PathKind.NLOS:
-                    continue
-                s = rep.theta_hat.scatterers[path.scatterer_index]
-                entries.append((s, j, (float(obs.alpha[j]),
-                                       float(obs.beta[j]),
-                                       float(obs.dist[j]))))
-            return entries
-        except MmlocError as err:
-            return type(err).__name__
-
-
 def build_rem_map(scenario: Scenario, trajectory: Sequence[Point2],
                   cfg: GapfConfig, seed: int, workers: int = 1) -> RemMap:
     """Estimate (NoREM) at every trajectory point and collect the bounce
-    points with the measured parameters that located them.  Points that
-    raise are counted by cause; AllTrialsFailed if every point raises."""
-    runner = _MapRunner(scenario, trajectory, cfg, seed)
-    outcomes = _run_all(runner, range(len(trajectory)), workers)
-    scatterers, source, params, failures = [], [], [], []
-    for i, entries in enumerate(outcomes):
-        if isinstance(entries, str):
-            failures.append(i)
-            continue
-        for s, j, meas in entries:
+    points with the measured parameters that located them.  Point i is
+    trial i of the seed (see _run_range); points that raise are counted
+    by cause, and AllTrialsFailed if every point raises."""
+    outcomes, causes = _run_trials(scenario, trajectory, Mode.NOREM, cfg,
+                                   seed, _map_entries, workers, "map points")
+    scatterers, source, params = [], [], []
+    for ue, entries in zip(trajectory, outcomes):
+        for s, j, meas in () if isinstance(entries, str) else entries:
             scatterers.append(s)
-            source.append((trajectory[i], j))
+            source.append((ue, j))
             params.append(meas)
-    causes = dict(sorted(Counter(o for o in outcomes
-                                 if isinstance(o, str)).items()))
-    if failures and len(failures) == len(trajectory):
-        raise AllTrialsFailed(
-            f"all {len(trajectory)} map points failed: {causes}")
-    return RemMap(scatterers, source, params, tuple(failures), causes)
+    failures = tuple(i for i, o in enumerate(outcomes) if isinstance(o, str))
+    return RemMap(scatterers, source, params, failures, causes)
 
 
 # --------------------------------------------------------------------------

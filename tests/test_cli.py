@@ -215,6 +215,7 @@ def test_mc_summary_matches_csv_and_reruns_identically(tmp_path, capsys):
     summary = json.loads(first)
     rem = summary["results"]["REM"]
     assert rem["n_trials"] == 4 and rem["failures"] == 0
+    assert summary["run"]["failure_causes"] == {"REM": {}}
     assert rem["ratio"] == pytest.approx(rem["rmse_est"] / rem["rmse_crb"])
     rows = (tmp_path / "out" / "mc.csv").read_text().strip().splitlines()
     assert rows[0] == "mode,rmse_est,rmse_crb,n_trials,failures,seed"
@@ -358,6 +359,8 @@ def test_remmap_runs_on_preset_scenario(tmp_path, capsys):
     lines = (out / "remmap.csv").read_text().strip().splitlines()
     assert lines[0] == "x,y,ue_x,ue_y,alpha,beta,d"
     assert summary["results"]["n_entries"] == len(lines) - 1 == 6
+    assert summary["run"]["failed_points"] == []
+    assert summary["run"]["failure_causes"] == {}
 
 
 def test_remmap_with_every_point_failed_exits_3(tmp_path, capsys,

@@ -364,6 +364,27 @@ def test_search_box_behind_a_wall_raises():
         default_search_box(z, behind, GapfConfig())
 
 
+def test_grid_node_budget_is_checked_before_allocating(monkeypatch):
+    """A box of more than _MAX_GRID_NODES nodes raises DegenerateGeometry
+    from the box arithmetic alone: no meshgrid is built."""
+    side = 1 << 10  # nodes per axis of a box exactly at the budget
+    assert side * side == E._MAX_GRID_NODES
+    assert len(E._grid_nodes((0.0, side - 1.0, 0.0, side - 1.0), 1.0)) \
+        == E._MAX_GRID_NODES
+
+    def no_meshgrid(*args, **kwargs):
+        raise AssertionError("meshgrid called on an over-budget box")
+
+    monkeypatch.setattr(np, "meshgrid", no_meshgrid)
+    with pytest.raises(DegenerateGeometry, match="1025 x 1024"):
+        E._grid_nodes((0.0, float(side), side - 1.0, 0.0), 1.0)
+    # distances a million meters long, as a sigma_d of 1e6 m would draw
+    z, _ = _obs(seed=1)
+    far = replace(z, dist=z.dist + 1e6)
+    with pytest.raises(DegenerateGeometry, match="exceeds"):
+        estimate(far, CORNER, Mode.NOREM, GapfConfig(n_particles=4))
+
+
 # ---------------------------------------------------------------------------
 # joint two-NLOS init: bound-pruned search against every pair scored
 # ---------------------------------------------------------------------------
@@ -563,10 +584,10 @@ def test_initial_particles_are_copies_of_seed():
 
 def test_iterate_output_is_normalized():
     z, theta = _obs(seed=4)
-    cfg = GapfConfig(n_particles=12, rng_seed=5)
+    cfg = GapfConfig(n_particles=12)
     eng = LikelihoodEngine(z, CORNER, Mode.NOREM)
     [ps] = initial_particles([grid_init(z, z.paths, CORNER, cfg)], eng, cfg)
-    [out] = gapf_iterate([ps], eng, cfg, [cfg.rng_seed], 0)
+    [out] = gapf_iterate([ps], eng, cfg, [5], 0)
     assert out.weights.min() >= 0.0
     assert float(out.weights.sum()) == pytest.approx(1.0, abs=1e-12)
     assert out.iteration == 1
@@ -575,8 +596,7 @@ def test_iterate_output_is_normalized():
 def test_best_ll_history_is_monotone():
     z, _ = _obs(seed=6)
     rep = estimate(z, CORNER, Mode.NOREM, GapfConfig(n_particles=20,
-                                                     n_iterations=8,
-                                                     rng_seed=1))
+                                                     n_iterations=8), [1])
     hist = np.array(rep.best_ll_history)
     assert hist.size == 9
     assert (np.diff(hist) >= 0.0).all()
@@ -586,9 +606,9 @@ def test_best_ll_history_is_monotone():
 @pytest.mark.parametrize("mode", [Mode.NOREM, Mode.REM])
 def test_estimate_deterministic_under_seed(mode):
     z, _ = _obs(seed=8)
-    cfg = GapfConfig(n_particles=16, n_iterations=5, rng_seed=77)
-    a = estimate(z, CORNER, mode, cfg)
-    b = estimate(z, CORNER, mode, cfg)
+    cfg = GapfConfig(n_particles=16, n_iterations=5)
+    a = estimate(z, CORNER, mode, cfg, [77])
+    b = estimate(z, CORNER, mode, cfg, [77])
     np.testing.assert_array_equal(a.theta_hat.to_array(), b.theta_hat.to_array())
     assert a.log_likelihood == b.log_likelihood
 
@@ -596,8 +616,8 @@ def test_estimate_deterministic_under_seed(mode):
 @pytest.mark.parametrize("mode", [Mode.NOREM, Mode.REM])
 def test_estimate_exact_on_noiseless_data(mode):
     z, theta = _obs()
-    cfg = GapfConfig(n_particles=16, n_iterations=4, rng_seed=3)
-    rep = estimate(z, CORNER, mode, cfg)
+    cfg = GapfConfig(n_particles=16, n_iterations=4)
+    rep = estimate(z, CORNER, mode, cfg, [3])
     err = math.hypot(rep.theta_hat.ue.x - UE.x, rep.theta_hat.ue.y - UE.y)
     assert err < 1e-6
     if mode is Mode.NOREM:
@@ -644,7 +664,7 @@ def test_batched_estimates_match_lone_runs(mode, subset):
     """A trial's report is the same bits alone, in a batch of 8, and at
     another place in the batch."""
     obs, seeds = _trials(subset)
-    alone = [estimate(z, CORNER, mode, replace(BATCH_CFG, rng_seed=s))
+    alone = [estimate(z, CORNER, mode, BATCH_CFG, [s])
              for z, s in zip(obs, seeds)]
     batch = estimate(obs, CORNER, mode, BATCH_CFG, seeds)
     moved = estimate(obs[::-1], CORNER, mode, BATCH_CFG, seeds[::-1])[::-1]

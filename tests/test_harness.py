@@ -8,12 +8,12 @@ import mmloc.estimator as E
 import mmloc.harness as H
 from mmloc import (EXAMPLE_UES, SCENARIO_NAMES, AllTrialsFailed,
                    DegenerateGeometry, GapfConfig, GridSpec, McResult, Mode,
-                   PathKind, Point2, RemMap, beamwidth_sweep, build_rem_map,
-                   cdf_curve, crb_grid, enumerate_paths, grid_preset,
-                   mc_rmse, noise_profile_preset, rmse_from_estimates,
-                   scenario_preset, subset_indices, trajectory_preset,
-                   write_cdf_csv, write_field_csv, write_remmap_csv,
-                   write_sweep_csv)
+                   ParamVector, PathKind, Point2, RemMap, beamwidth_sweep,
+                   build_rem_map, cdf_curve, crb_grid, enumerate_paths,
+                   grid_preset, mc_rmse, noise_profile_preset,
+                   rmse_from_estimates, scenario_preset, subset_indices,
+                   synthesize, trajectory_preset, trial_seeds, write_cdf_csv,
+                   write_field_csv, write_remmap_csv, write_sweep_csv)
 
 LIGHT = GapfConfig(n_particles=16, n_iterations=6)
 
@@ -286,6 +286,44 @@ def test_build_rem_map_counts_failure_causes(monkeypatch):
     with pytest.raises(ValueError):
         RemMap([], [], [], failures=(0, 1),
                failure_causes={"DegenerateGeometry": 1})
+
+
+def test_build_rem_map_does_not_depend_on_workers_or_chunks(monkeypatch):
+    """One chunk, two workers, and one chunk per point give equal maps."""
+    sc = scenario_preset("corner-2fe")
+    traj = trajectory_preset("corner-2fe", n_points=4)
+    whole = build_rem_map(sc, traj, LIGHT, seed=3)
+    assert len(whole.estimated_scatterers) == 16  # 4 reflections a point
+    assert whole == build_rem_map(sc, traj, LIGHT, seed=3, workers=2)
+    monkeypatch.setattr(H, "_BATCH_ROWS", LIGHT.n_particles)
+    assert whole == build_rem_map(sc, traj, LIGHT, seed=3)
+    assert whole == build_rem_map(sc, traj, LIGHT, seed=3, workers=2)
+
+
+def test_build_rem_map_drops_a_behind_wall_point_alone():
+    """A point behind a wall fails by itself; every other point's entries
+    are those of its own synthesize-and-estimate run at its index."""
+    sc = scenario_preset("corner-2fe")
+    good = trajectory_preset("corner-2fe", n_points=3)
+    traj = [good[0], Point2(-1.0, 5.0), good[1], good[2]]
+    rem = build_rem_map(sc, traj, LIGHT, seed=5)
+    assert rem.failures == (1,)
+    assert rem.failure_causes == {"DegenerateGeometry": 1}
+    want = []
+    for i in (0, 2, 3):
+        paths = enumerate_paths(sc, traj[i])
+        truth = ParamVector.truth_from_paths(traj[i], paths, Mode.NOREM)
+        synth_ss, est_seed = trial_seeds(5, i)
+        z = synthesize(truth, paths, sc, np.random.default_rng(synth_ss))
+        rep = E.estimate(z, sc, Mode.NOREM, LIGHT, [est_seed])
+        for j, path in enumerate(paths):
+            if path.kind is PathKind.NLOS:
+                want.append((rep.theta_hat.scatterers[path.scatterer_index],
+                             (traj[i], j), (float(z.alpha[j]),
+                                            float(z.beta[j]),
+                                            float(z.dist[j]))))
+    assert list(zip(rem.estimated_scatterers, rem.source,
+                    rem.parameters)) == want
 
 
 def test_build_rem_map_with_no_usable_point_raises():
