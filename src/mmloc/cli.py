@@ -16,7 +16,8 @@ import json
 import math
 import os
 import sys
-from typing import Optional
+from dataclasses import asdict, dataclass, fields
+from typing import Callable, Optional
 
 import numpy as np
 import yaml
@@ -36,29 +37,18 @@ from .measurement import (PROFILE_PRESETS, Mode, NoiseProfile, ParamVector,
 
 SCHEMA_VERSION = 1
 
-COMMANDS = ("estimate", "mc", "sweep", "cdf", "field", "remmap")
-
 _MODES = {"NoREM": (Mode.NOREM,), "REM": (Mode.REM,),
           "both": (Mode.NOREM, Mode.REM)}
 
 _TOP_KEYS = {"scenario", "profile", "mode", "ue", "seed", "output_dir",
              "workers", "estimator", "experiment", "grid"}
-# the estimator's seeds derive per run from seed, not config surface
-_ESTIMATOR_KEYS = {"n_particles", "n_iterations", "process_std_position",
-                   "anneal_factor", "lm_max_iters", "lm_tolerance",
-                   "grid_spacing"}
-_GRID_KEYS = {"x_min", "x_max", "y_min", "y_max", "spacing"}
-_EXPERIMENT_KEYS = {
-    "estimate": {"noiseless"},
-    "mc": {"n_trials", "subset", "noiseless"},
-    "sweep": {"sigma_deg", "subsets", "sigma_d", "n_trials"},
-    "cdf": {"profiles"},
-    "field": set(),
-    "remmap": {"n_points"},
-}
-_SIX_SIGMA_KEYS = ("sigma_alpha_los_deg", "sigma_beta_los_deg",
-                   "sigma_d_los", "sigma_alpha_nlos_deg",
-                   "sigma_beta_nlos_deg", "sigma_d_nlos")
+_ESTIMATOR_KEYS = {f.name for f in fields(GapfConfig)}
+_GRID_KEYS = {f.name for f in fields(GridSpec)}
+# NoiseProfile field -> inline profile key; angles are given in degrees
+_SIGMA_KEYS = {f.name: f.name if f.name.startswith("sigma_d_")
+               else f.name + "_deg"
+               for f in fields(NoiseProfile) if f.name != "label"}
+_SUBSETS = ("all", "los", "nlos")
 
 
 def _is_num(v) -> bool:
@@ -70,6 +60,27 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+# experiment key -> (default, check, what the check wants); the keys each
+# command takes are in _COMMANDS
+_EXPERIMENT = {
+    "noiseless": (False, lambda v: isinstance(v, bool), "a boolean"),
+    "n_trials": (500, lambda v: _is_int(v) and v >= 0, "an integer >= 0"),
+    "subset": ("all", lambda v: v in _SUBSETS, "one of all/los/nlos"),
+    "sigma_deg": ((1.0, 5.0, 10.0, 20.0, 30.0, 40.0),
+                  lambda v: isinstance(v, list) and v
+                  and all(_is_num(s) and s > 0 for s in v),
+                  "a non-empty list of positive degrees"),
+    "subsets": (_SUBSETS, lambda v: isinstance(v, list) and v
+                and all(s in _SUBSETS for s in v),
+                "a non-empty list from all/los/nlos"),
+    "sigma_d": (0.75, lambda v: _is_num(v) and v > 0, "a positive number"),
+    "profiles": (("28GHz", "73GHz"), lambda v: isinstance(v, list) and v
+                 and all(p in PROFILE_PRESETS for p in v),
+                 f"a non-empty list from {sorted(PROFILE_PRESETS)}"),
+    "n_points": (20, lambda v: _is_int(v) and v >= 2, "an integer >= 2"),
+}
+
+
 class _Resolver:
     """Turns a raw config mapping into typed experiment inputs, recording
     every violation instead of stopping at the first."""
@@ -79,6 +90,7 @@ class _Resolver:
             raise ConfigError("config root must be a mapping")
         self.raw = raw
         self.command = command
+        self.cmd = _COMMANDS[command] if command else None
         self.errs: list[str] = []
         for key in sorted(set(raw) - _TOP_KEYS):
             self.errs.append(f"{key}: unknown top-level key")
@@ -93,7 +105,7 @@ class _Resolver:
         self.estimator = self._estimator()
         self.grid = self._grid()
         self.experiment = self._experiment()
-        self._check_sufficiency()
+        self._check_command()
 
     # -- field resolvers ---------------------------------------------------
 
@@ -121,20 +133,17 @@ class _Resolver:
             except (TypeError, ValueError) as e:
                 self.errs.append(f"profile: {e}")
                 return None
-        missing = [k for k in _SIX_SIGMA_KEYS if k not in spec]
-        unknown = set(spec) - set(_SIX_SIGMA_KEYS) - {"label"}
+        keys = list(_SIGMA_KEYS.values())
+        missing = [k for k in keys if k not in spec]
+        unknown = set(spec) - set(keys) - {"label"}
         if missing or unknown:
             self.errs.append(
                 "profile: inline mapping needs sigma_angle_deg or all of "
-                f"{list(_SIX_SIGMA_KEYS)}; missing {missing}, "
-                f"unexpected {sorted(unknown)}")
+                f"{keys}; missing {missing}, unexpected {sorted(unknown)}")
             return None
         try:
-            return NoiseProfile.from_degrees(
-                spec["sigma_alpha_los_deg"], spec["sigma_beta_los_deg"],
-                spec["sigma_d_los"], spec["sigma_alpha_nlos_deg"],
-                spec["sigma_beta_nlos_deg"], spec["sigma_d_nlos"],
-                label=label)
+            return NoiseProfile.from_degrees(*(spec[k] for k in keys),
+                                             label=label)
         except (TypeError, ValueError) as e:
             self.errs.append(f"profile: {e}")
             return None
@@ -227,9 +236,9 @@ class _Resolver:
         if unknown:
             self.errs.append(f"estimator: unknown keys {sorted(unknown)}; "
                              f"known: {sorted(_ESTIMATOR_KEYS)}")
-        fields = {k: v for k, v in spec.items() if k in _ESTIMATOR_KEYS}
+        given = {k: v for k, v in spec.items() if k in _ESTIMATOR_KEYS}
         try:
-            return GapfConfig(**fields)
+            return GapfConfig(**given)
         except (TypeError, ValueError) as e:
             self.errs.append(f"estimator: {e}")
             return GapfConfig()
@@ -262,41 +271,17 @@ class _Resolver:
         if not isinstance(spec, dict):
             self.errs.append("experiment: must be a mapping")
             spec = {}
-        allowed = _EXPERIMENT_KEYS.get(self.command) if self.command \
-            else set().union(*_EXPERIMENT_KEYS.values())
-        unknown = set(spec) - allowed
+        unknown = set(spec) - set(self.cmd.keys if self.cmd else _EXPERIMENT)
         if unknown:
             self.errs.append(f"experiment: unknown keys {sorted(unknown)} "
                              f"for command {self.command or 'any'}")
-        out = {"noiseless": False, "n_trials": 500, "subset": "all",
-               "sigma_deg": [1.0, 5.0, 10.0, 20.0, 30.0, 40.0],
-               "subsets": ["all", "los", "nlos"], "sigma_d": 0.75,
-               "profiles": ["28GHz", "73GHz"], "n_points": 20}
+        out = {key: default for key, (default, _, _) in _EXPERIMENT.items()}
         if self.command == "sweep":
             out["n_trials"] = 0
-        checks = {
-            "noiseless": (lambda v: isinstance(v, bool), "a boolean"),
-            "n_trials": (lambda v: _is_int(v) and v >= 0,
-                         "an integer >= 0"),
-            "subset": (lambda v: v in ("all", "los", "nlos"),
-                       "one of all/los/nlos"),
-            "sigma_deg": (lambda v: isinstance(v, list) and v
-                          and all(_is_num(s) and s > 0 for s in v),
-                          "a non-empty list of positive degrees"),
-            "subsets": (lambda v: isinstance(v, list) and v
-                        and all(s in ("all", "los", "nlos") for s in v),
-                        "a non-empty list from all/los/nlos"),
-            "sigma_d": (lambda v: _is_num(v) and v > 0, "a positive number"),
-            "profiles": (lambda v: isinstance(v, list) and v
-                         and all(p in PROFILE_PRESETS for p in v),
-                         f"a non-empty list from {sorted(PROFILE_PRESETS)}"),
-            "n_points": (lambda v: _is_int(v) and v >= 2,
-                         "an integer >= 2"),
-        }
         for key, val in spec.items():
-            if key not in checks:
+            if key in unknown:
                 continue
-            ok, want = checks[key]
+            _, ok, want = _EXPERIMENT[key]
             if ok(val):
                 out[key] = val
             else:
@@ -306,7 +291,17 @@ class _Resolver:
             self.errs.append("experiment.n_trials: must be >= 1 for mc")
         return out
 
-    def _check_sufficiency(self) -> None:
+    def _check_command(self) -> None:
+        """The checks that depend on the command: remmap's trajectory needs
+        a preset scene, and a command that reads ue (or no command) needs
+        a sufficient path set there."""
+        if self.command == "remmap" and self.scenario is not None \
+                and self.scenario.name not in H.SCENARIO_NAMES:
+            self.errs.append("remmap: custom scenarios need a preset name "
+                             "for the trajectory; use one of "
+                             f"{list(H.SCENARIO_NAMES)}")
+        if self.cmd is not None and not self.cmd.reads_ue:
+            return
         if self.scenario is None or self.ue is None:
             if self.ue is None and not self.errs:
                 self.errs.append("ue: required (no preset position for a "
@@ -338,7 +333,6 @@ class _Resolver:
     def echo(self) -> dict:
         """Fully resolved config, presets expanded, degrees at the edge."""
         sc, prof = self.scenario, self.profile
-        deg = math.degrees
         return {
             "scenario": None if sc is None else {
                 "name": sc.name,
@@ -349,24 +343,19 @@ class _Resolver:
             },
             "profile": None if prof is None else {
                 "label": prof.label,
-                "sigma_alpha_los_deg": deg(prof.sigma_alpha_los),
-                "sigma_beta_los_deg": deg(prof.sigma_beta_los),
-                "sigma_d_los": prof.sigma_d_los,
-                "sigma_alpha_nlos_deg": deg(prof.sigma_alpha_nlos),
-                "sigma_beta_nlos_deg": deg(prof.sigma_beta_nlos),
-                "sigma_d_nlos": prof.sigma_d_nlos,
+                **{key: getattr(prof, name) if key == name
+                   else math.degrees(getattr(prof, name))
+                   for name, key in _SIGMA_KEYS.items()},
             },
             "mode": self.raw.get("mode", "NoREM"),
             "ue": None if self.ue is None else [self.ue.x, self.ue.y],
             "seed": self.seed,
             "workers": self.workers,
             "output_dir": self.output_dir,
-            "estimator": {k: getattr(self.estimator, k)
-                          for k in sorted(_ESTIMATOR_KEYS)},
-            "grid": {k: getattr(self.grid, k) for k in sorted(_GRID_KEYS)},
-            "experiment": {k: self.experiment[k]
-                           for k in sorted(_EXPERIMENT_KEYS.get(
-                               self.command, self.experiment))},
+            "estimator": asdict(self.estimator),
+            "grid": asdict(self.grid),
+            "experiment": {k: self.experiment[k] for k in sorted(
+                self.cmd.keys if self.cmd else self.experiment)},
         }
 
 
@@ -378,13 +367,6 @@ def _read_rows(path) -> list[list[str]]:
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     return rows[1:]
-
-
-def _write_rows(path, header, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(rows)
 
 
 def _summary(command: str, res: _Resolver, outputs: dict,
@@ -436,7 +418,7 @@ def _cmd_estimate(res: _Resolver, out_dir: str) -> dict:
                      [m, f"s{i}_y_est", _fmt(s.y)]]
         iterations[m] = rep.iterations_run
     csv_path = os.path.join(out_dir, "estimate.csv")
-    _write_rows(csv_path, ["mode", "name", "value"], rows)
+    H.write_rows(csv_path, ["mode", "name", "value"], rows)
 
     results: dict = {}
     table = {(r[0], r[1]): float(r[2]) for r in _read_rows(csv_path)}
@@ -465,8 +447,8 @@ def _cmd_mc(res: _Resolver, out_dir: str) -> dict:
                      str(r.n_trials), str(r.failures), str(r.seed)])
         causes[mode.value] = r.failure_causes
     csv_path = os.path.join(out_dir, "mc.csv")
-    _write_rows(csv_path, ["mode", "rmse_est", "rmse_crb", "n_trials",
-                           "failures", "seed"], rows)
+    H.write_rows(csv_path, ["mode", "rmse_est", "rmse_crb", "n_trials",
+                            "failures", "seed"], rows)
     results = {}
     for r in _read_rows(csv_path):
         est, crb = float(r[1]), float(r[2])
@@ -520,14 +502,14 @@ def _cmd_cdf(res: _Resolver, out_dir: str) -> dict:
 
 def _cmd_field(res: _Resolver, out_dir: str) -> dict:
     outputs: dict = {}
-    fields = {}
+    grids = {}
     for mode in res.modes:
-        fields[mode] = crb_grid(res.scenario, res.grid, mode)
+        grids[mode] = crb_grid(res.scenario, res.grid, mode)
         name = f"field-{mode.value.lower()}.csv"
-        H.write_field_csv(os.path.join(out_dir, name), fields[mode])
+        H.write_field_csv(os.path.join(out_dir, name), grids[mode])
         outputs[mode.value] = name
     if len(res.modes) == 2:
-        norem, rem = fields[Mode.NOREM], fields[Mode.REM]
+        norem, rem = grids[Mode.NOREM], grids[Mode.REM]
         delta = CrbField(norem.xs, norem.ys, norem.values - rem.values)
         outputs["delta"] = "field-delta.csv"
         H.write_field_csv(os.path.join(out_dir, "field-delta.csv"), delta)
@@ -546,13 +528,7 @@ def _cmd_field(res: _Resolver, out_dir: str) -> dict:
 
 
 def _cmd_remmap(res: _Resolver, out_dir: str) -> dict:
-    name = res.scenario.name
-    if name in H.SCENARIO_NAMES:
-        traj = H.trajectory_preset(name, res.experiment["n_points"])
-    else:
-        raise ConfigError("remmap: custom scenarios need a preset name for "
-                          "the trajectory; use one of "
-                          f"{list(H.SCENARIO_NAMES)}")
+    traj = H.trajectory_preset(res.scenario.name, res.experiment["n_points"])
     remmap = H.build_rem_map(res.scenario, traj, res.estimator, res.seed,
                              workers=res.n_workers)
     csv_path = os.path.join(out_dir, "remmap.csv")
@@ -571,8 +547,32 @@ def _cmd_remmap(res: _Resolver, out_dir: str) -> dict:
                      "failure_causes": remmap.failure_causes})
 
 
-_RUNNERS = {"estimate": _cmd_estimate, "mc": _cmd_mc, "sweep": _cmd_sweep,
-            "cdf": _cmd_cdf, "field": _cmd_field, "remmap": _cmd_remmap}
+@dataclass(frozen=True)
+class _Command:
+    """A subcommand: its help text, the experiment keys it takes (see
+    _EXPERIMENT), whether it reads ue, and its runner."""
+
+    help: str
+    keys: tuple
+    reads_ue: bool
+    run: Callable[[_Resolver, str], dict]
+
+
+_COMMANDS = {
+    "estimate": _Command("one synthesize-and-estimate round trip",
+                         ("noiseless",), True, _cmd_estimate),
+    "mc": _Command("Monte-Carlo RMSE vs the position bound at one UE",
+                   ("n_trials", "subset", "noiseless"), True, _cmd_mc),
+    "sweep": _Command("bound (and optional MC) RMSE vs angular noise",
+                      ("sigma_deg", "subsets", "sigma_d", "n_trials"), True,
+                      _cmd_sweep),
+    "cdf": _Command("bound CDF curves over the UE grid", ("profiles",),
+                    False, _cmd_cdf),
+    "field": _Command("bound field over the UE grid (plus delta when "
+                      "mode=both)", (), False, _cmd_field),
+    "remmap": _Command("build a scatterer map along the preset trajectory",
+                       ("n_points",), False, _cmd_remmap),
+}
 
 
 # --------------------------------------------------------------------------
@@ -630,16 +630,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version",
                    version=f"%(prog)s {__version__}")
     sub = p.add_subparsers(dest="command", required=True, metavar="command")
-    helps = {
-        "estimate": "one synthesize-and-estimate round trip",
-        "mc": "Monte-Carlo RMSE vs the position bound at one UE",
-        "sweep": "bound (and optional MC) RMSE vs angular noise",
-        "cdf": "bound CDF curves over the UE grid",
-        "field": "bound field over the UE grid (plus delta when mode=both)",
-        "remmap": "build a scatterer map along the preset trajectory",
-    }
-    for name in COMMANDS:
-        sp = sub.add_parser(name, help=helps[name])
+    for name, cmd in _COMMANDS.items():
+        sp = sub.add_parser(name, help=cmd.help)
         sp.add_argument("--config", help="YAML config file")
         sp.add_argument("--seed", type=int, help="override config seed")
         sp.add_argument("--output-dir", help="override output directory")
@@ -669,7 +661,7 @@ def main(argv: Optional[list] = None) -> int:
         res = _Resolver(_apply_overrides(raw, args), command)
         res.raise_if_invalid()
         os.makedirs(res.output_dir, exist_ok=True)
-        summary = _RUNNERS[command](res, res.output_dir)
+        summary = _COMMANDS[command].run(res, res.output_dir)
         path = _emit(res.output_dir, command, summary)
     except ConfigError as e:
         print(_error_record(e, command))

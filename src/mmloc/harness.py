@@ -405,56 +405,60 @@ def fmt_value(v: float) -> str:
     return format(float(v), ".12g")
 
 
+def write_rows(path, header, rows) -> None:
+    """A CSV file of the header row, then the rows."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
+
+
 def write_sweep_csv(path, sweep: SweepResult) -> None:
     """Rows: sigma_deg, curve, rmse.  Curve ids are subset:mode:kind with
     kind crb|mc, plus subset:distance-only reference rows at every sigma."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["sigma_deg", "curve", "rmse"])
-        for key, vals in sorted(sweep.crb.items()):
-            for s, v in zip(sweep.sigma_angle_values, vals):
-                w.writerow([fmt_value(math.degrees(s)),
-                            f"{key[0]}:{key[1]}:crb", fmt_value(v)])
-        for key, vals in sorted(sweep.mc.items()):
-            for s, v in zip(sweep.sigma_angle_values, vals):
-                w.writerow([fmt_value(math.degrees(s)),
-                            f"{key[0]}:{key[1]}:mc", fmt_value(v)])
-        for name, v in sorted(sweep.distance_only.items()):
-            for s in sweep.sigma_angle_values:
-                w.writerow([fmt_value(math.degrees(s)),
-                            f"{name}:distance-only", fmt_value(v)])
+    rows = []
+    for key, vals in sorted(sweep.crb.items()):
+        for s, v in zip(sweep.sigma_angle_values, vals):
+            rows.append([fmt_value(math.degrees(s)),
+                         f"{key[0]}:{key[1]}:crb", fmt_value(v)])
+    for key, vals in sorted(sweep.mc.items()):
+        for s, v in zip(sweep.sigma_angle_values, vals):
+            rows.append([fmt_value(math.degrees(s)),
+                         f"{key[0]}:{key[1]}:mc", fmt_value(v)])
+    for name, v in sorted(sweep.distance_only.items()):
+        for s in sweep.sigma_angle_values:
+            rows.append([fmt_value(math.degrees(s)),
+                         f"{name}:distance-only", fmt_value(v)])
+    write_rows(path, ["sigma_deg", "curve", "rmse"], rows)
 
 
 def write_cdf_csv(path, curves: dict) -> None:
     """Rows: curve, rmse, prob."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["curve", "rmse", "prob"])
-        for key in sorted(curves):
-            label = f"{key[0]}:{key[1]}"
-            for rmse, prob in curves[key]:
-                w.writerow([label, fmt_value(rmse), fmt_value(prob)])
+    rows = []
+    for key in sorted(curves):
+        label = f"{key[0]}:{key[1]}"
+        for rmse, prob in curves[key]:
+            rows.append([label, fmt_value(rmse), fmt_value(prob)])
+    write_rows(path, ["curve", "rmse", "prob"], rows)
 
 
 def write_field_csv(path, field: CrbField) -> None:
     """Rows: x, y, value; NaN marks unevaluated nodes."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["x", "y", "value"])
-        for i, x in enumerate(field.xs):
-            for j, y in enumerate(field.ys):
-                w.writerow([fmt_value(x), fmt_value(y),
-                            fmt_value(field.values[i, j])])
+    rows = []
+    for i, x in enumerate(field.xs):
+        for j, y in enumerate(field.ys):
+            rows.append([fmt_value(x), fmt_value(y),
+                         fmt_value(field.values[i, j])])
+    write_rows(path, ["x", "y", "value"], rows)
 
 
 def write_remmap_csv(path, remmap: RemMap) -> None:
     """Rows: x, y, ue_x, ue_y, alpha, beta, d."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["x", "y", "ue_x", "ue_y", "alpha", "beta", "d"])
-        for s, (ue, _), (alpha, beta, d) in zip(remmap.estimated_scatterers,
-                                                remmap.source,
-                                                remmap.parameters):
-            w.writerow([fmt_value(s.x), fmt_value(s.y), fmt_value(ue.x),
-                        fmt_value(ue.y), fmt_value(alpha), fmt_value(beta),
-                        fmt_value(d)])
+    rows = []
+    for s, (ue, _), (alpha, beta, d) in zip(remmap.estimated_scatterers,
+                                            remmap.source,
+                                            remmap.parameters):
+        rows.append([fmt_value(s.x), fmt_value(s.y), fmt_value(ue.x),
+                     fmt_value(ue.y), fmt_value(alpha), fmt_value(beta),
+                     fmt_value(d)])
+    write_rows(path, ["x", "y", "ue_x", "ue_y", "alpha", "beta", "d"], rows)

@@ -2,16 +2,24 @@
 import json
 import math
 import os
+from dataclasses import asdict, fields
 
 import pytest
 import yaml
 
 import mmloc.estimator
 import mmloc.harness
-from mmloc import AllTrialsFailed, DegenerateGeometry
+from mmloc import AllTrialsFailed, DegenerateGeometry, GapfConfig, GridSpec
 from mmloc.cli import main, validate_config
+from mmloc.harness import grid_preset
 
 LIGHT_EST = {"n_particles": 16, "n_iterations": 6}
+SMALL_GRID = {"x_min": 2.0, "x_max": 18.0, "y_min": 4.0, "y_max": 48.0,
+              "spacing": 8.0}
+CUSTOM_SCENE = {"name": "custom",
+                "walls": [{"axis": "vertical", "offset": 0.0,
+                           "side": "positive"}],
+                "fes": [[10.0, 10.0]]}
 
 
 def _write_cfg(tmp_path, cfg, name="cfg.yaml"):
@@ -85,6 +93,13 @@ def test_validate_config_function_scopes_experiment_keys():
     assert errs and "n_points" in errs[0]
 
 
+def test_a_key_the_command_does_not_take_is_reported_once():
+    """n_points: 1 would fail remmap's check, but mc does not take the
+    key: it is reported as unknown and its value is not checked."""
+    assert validate_config({"experiment": {"n_points": 1}}, "mc") == [
+        "experiment: unknown keys ['n_points'] for command mc"]
+
+
 def test_missing_config_file_is_a_config_error(tmp_path, capsys):
     code, payload = _run(capsys, ["mc", "--config",
                                   str(tmp_path / "absent.yaml")])
@@ -107,6 +122,21 @@ def test_insufficient_ue_position_rejected(tmp_path, capsys):
     code, payload = _run(capsys, ["estimate", "--config", cfg])
     assert code == 2
     assert "ue" in payload["error"]["message"]
+
+
+@pytest.mark.parametrize("command", ["cdf", "field"])
+def test_grid_commands_do_not_check_ue(tmp_path, capsys, command):
+    """cdf and field read the grid, not ue: a custom scene needs no ue
+    for them, and a ue on the FE is no error."""
+    assert validate_config({"scenario": CUSTOM_SCENE}, command) == []
+    assert validate_config({"scenario": CUSTOM_SCENE}) == [
+        "ue: required (no preset position for a custom scenario)"]
+    cfg = _write_cfg(tmp_path, {"scenario": "corner-1fe", "ue": [18.0, 10.0],
+                                "mode": "REM", "grid": SMALL_GRID,
+                                "output_dir": str(tmp_path / "out")})
+    code, payload = _run(capsys, [command, "--config", cfg])
+    assert code == 0
+    assert _summary_of(payload)["config"]["ue"] == [18.0, 10.0]
 
 
 def test_validate_checks_the_mc_subset_in_each_mode(tmp_path, capsys):
@@ -159,6 +189,45 @@ def test_estimate_noiseless_round_trip(tmp_path, capsys):
     assert echo["estimator"]["n_particles"] == 16
     assert "rng_seed" not in echo["estimator"]
     assert echo["ue"] == [15.0, 15.0]
+
+
+_ESTIMATOR = {"n_particles": 12, "n_iterations": 5,
+              "process_std_position": 1.5, "anneal_factor": 0.8,
+              "lm_max_iters": 20, "lm_tolerance": 1e-8, "grid_spacing": 1.5}
+_SIX_SIGMAS = {"sigma_alpha_los_deg": 7.0, "sigma_beta_los_deg": 6.0,
+               "sigma_d_los": 0.5, "sigma_alpha_nlos_deg": 5.0,
+               "sigma_beta_nlos_deg": 4.0, "sigma_d_nlos": 0.9}
+
+
+@pytest.mark.parametrize("profile, sigmas", [
+    ({"sigma_angle_deg": 3.0, "sigma_d": 0.6, "label": "mine"},
+     {"sigma_alpha_los_deg": 3.0, "sigma_beta_los_deg": 3.0,
+      "sigma_d_los": 0.6, "sigma_alpha_nlos_deg": 3.0,
+      "sigma_beta_nlos_deg": 3.0, "sigma_d_nlos": 0.6}),
+    (dict(_SIX_SIGMAS, label="mine"), _SIX_SIGMAS),
+])
+def test_every_config_field_round_trips(tmp_path, capsys, profile, sigmas):
+    """Every estimator and grid field, set away from its default, and an
+    inline profile in either form pass validation and come back in the
+    summary's config block."""
+    assert set(_ESTIMATOR) == {f.name for f in fields(GapfConfig)}
+    assert all(_ESTIMATOR[k] != v for k, v in asdict(GapfConfig()).items())
+    assert set(SMALL_GRID) == {f.name for f in fields(GridSpec)}
+    preset = asdict(grid_preset("corner-1fe"))
+    assert all(SMALL_GRID[k] != v for k, v in preset.items())
+    cfg = _write_cfg(tmp_path, {
+        "scenario": "corner-1fe", "mode": "REM", "profile": profile,
+        "estimator": _ESTIMATOR, "grid": SMALL_GRID,
+        "output_dir": str(tmp_path / "out")})
+    code, payload = _run(capsys, ["validate", "--config", cfg])
+    assert code == 0 and payload["violations"] == []
+    code, payload = _run(capsys, ["field", "--config", cfg])
+    assert code == 0
+    echo = _summary_of(payload)["config"]
+    assert echo["estimator"] == _ESTIMATOR
+    assert echo["grid"] == SMALL_GRID
+    assert echo["profile"].pop("label") == "mine"
+    assert echo["profile"] == pytest.approx(sigmas, rel=1e-12)
 
 
 def test_summary_echoes_configured_workers(tmp_path, capsys, monkeypatch):
@@ -322,8 +391,7 @@ def test_cdf_over_a_grid_with_no_valid_node_fails(tmp_path, capsys):
 
 
 def test_field_emits_delta_only_for_both_modes(tmp_path, capsys):
-    grid = {"x_min": 2.0, "x_max": 18.0, "y_min": 4.0, "y_max": 48.0,
-            "spacing": 8.0}
+    grid = SMALL_GRID
     out1 = tmp_path / "both"
     cfg = _write_cfg(tmp_path, {"scenario": "corner-1fe", "mode": "both",
                                 "output_dir": str(out1), "grid": grid},
@@ -383,16 +451,15 @@ def test_remmap_with_every_point_failed_exits_3(tmp_path, capsys,
 
 
 def test_remmap_requires_a_preset_trajectory(tmp_path, capsys):
-    cfg = _write_cfg(tmp_path, {
-        "scenario": {"name": "custom",
-                     "walls": [{"axis": "vertical", "offset": 0.0,
-                                "side": "positive"}],
-                     "fes": [[10.0, 10.0]]},
-        "ue": [5.0, 20.0], "output_dir": str(tmp_path / "out"),
-    })
-    code, payload = _run(capsys, ["remmap", "--config", cfg])
+    raw = {"scenario": CUSTOM_SCENE, "ue": [5.0, 20.0],
+           "output_dir": str(tmp_path / "out")}
+    errs = validate_config(raw, "remmap")
+    assert len(errs) == 1 and "preset name for the trajectory" in errs[0]
+    code, payload = _run(capsys, ["remmap", "--config",
+                                  _write_cfg(tmp_path, raw)])
     assert code == 2
     assert payload["error"]["type"] == "ConfigError"
+    assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------------------
