@@ -88,6 +88,9 @@ class _Resolver:
     def __init__(self, raw: dict, command: Optional[str] = None):
         if not isinstance(raw, dict):
             raise ConfigError("config root must be a mapping")
+        if command and command not in _COMMANDS:
+            raise ConfigError(f"unknown command {command!r}; known: "
+                              f"{sorted(_COMMANDS)}")
         self.raw = raw
         self.command = command
         self.cmd = _COMMANDS[command] if command else None

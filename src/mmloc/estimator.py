@@ -19,7 +19,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DegenerateGeometry, InsufficientPaths, MmlocError
-from .geometry import PathKind, PathSet, Point2, Scenario, WallAxis
+from .geometry import (PathKind, PathSet, Point2, ReflectiveSide, Scenario,
+                       WallAxis)
 from .likelihood import LikelihoodEngine
 from .measurement import Mode, Observation, ParamVector, wrap
 
@@ -298,7 +299,7 @@ def default_search_box(z: Observation, scenario: Scenario,
 
     def clipped(x0, x1, y0, y1):
         for w in scenario.walls:
-            lo_is_cut = w.reflective_side.value == "positive"
+            lo_is_cut = w.reflective_side is ReflectiveSide.POSITIVE
             if w.axis is WallAxis.VERTICAL:
                 if lo_is_cut:
                     x0 = max(x0, w.offset + margin)
@@ -498,10 +499,7 @@ def _joint_argmin(z: Observation, pair: list, ue_nodes: np.ndarray,
     cand = cand[np.isfinite(seed[cand])]
     bound = float(np.min(_joint_totals(z, legs, ue_nodes[cand]),
                          initial=np.inf))
-    if bound < _JOINT_PRUNE:
-        total = _joint_totals(z, legs, ue_nodes, bound)
-    else:
-        total = _joint_totals(z, legs, ue_nodes)
+    total = _joint_totals(z, legs, ue_nodes, min(bound, _JOINT_PRUNE))
     k = int(np.argmin(total))
     return k, float(total[k])
 
@@ -542,12 +540,11 @@ def grid_init(z: Observation, paths: PathSet, scenario: Scenario,
     if mode is Mode.REM:
         return ParamVector.from_array(ue0, Mode.REM)
 
-    scat = [None] * paths.n_nlos
-    for j in nlos:
-        s = _best_scatterer(z, j, ue0, scenario, cfg.grid_spacing)
-        scat[paths[j].scatterer_index] = Point2(float(s[0]), float(s[1]))
+    bounce = [_best_scatterer(z, j, ue0, scenario, cfg.grid_spacing)
+              for j in nlos]
     return ParamVector(Point2(float(ue0[0]), float(ue0[1])),
-                       tuple(scat), Mode.NOREM)
+                       tuple(Point2(float(s[0]), float(s[1])) for s in bounce),
+                       Mode.NOREM)
 
 
 # --------------------------------------------------------------------------

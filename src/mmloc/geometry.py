@@ -113,30 +113,24 @@ class Scenario:
 class PathDescriptor:
     """One propagation path from an FE to the UE.
 
-    For NLOS paths ``scatterer_index`` is the path's slot among the NLOS
-    paths of its path set (the parameter-vector slot when bounce points are
-    estimated) and ``true_scatterer`` is the ground-truth bounce point when
-    known.
+    ``true_scatterer`` is an NLOS path's ground-truth bounce point when
+    known.  The path's bounce-point slot is its position among the NLOS
+    paths of its path set (see PathSet).
     """
 
     kind: PathKind
     fe_index: int
-    scatterer_index: Optional[int] = None
     true_scatterer: Optional[Point2] = None
     wall_index: Optional[int] = None
-
-    def __post_init__(self):
-        if self.kind is PathKind.NLOS and self.scatterer_index is None:
-            raise ValueError("NLOS path needs a scatterer_index")
-        if self.kind is PathKind.LOS and self.scatterer_index is not None:
-            raise ValueError("LOS path cannot carry a scatterer_index")
 
 
 @dataclass(frozen=True)
 class PathSet:
     """Ordered collection of paths: all LOS first, then all NLOS.
 
-    NLOS scatterer indices are contiguous from zero in list order.
+    The k-th NLOS path, at position n_los + k, has bounce point k: its
+    slot in the parameter vector when bounce points are estimated, and in
+    true_scatterers().
     """
 
     paths: tuple[PathDescriptor, ...]
@@ -148,9 +142,6 @@ class PathSet:
         n_los = sum(1 for k in kinds if k is PathKind.LOS)
         if any(k is PathKind.LOS for k in kinds[n_los:]):
             raise ValueError("LOS paths must precede NLOS paths")
-        slots = [p.scatterer_index for p in self.paths if p.kind is PathKind.NLOS]
-        if slots != list(range(len(slots))):
-            raise ValueError(f"NLOS scatterer indices must be 0..{len(slots) - 1} in order")
 
     @property
     def n_los(self) -> int:
@@ -184,17 +175,9 @@ class PathSet:
         return tuple(out)
 
     def subset(self, indices: Sequence[int]) -> "PathSet":
-        """Sub-path-set keeping relative order, with scatterer slots renumbered."""
-        picked = [self.paths[i] for i in sorted(set(indices))]
-        out, slot = [], 0
-        for p in picked:
-            if p.kind is PathKind.NLOS:
-                out.append(PathDescriptor(p.kind, p.fe_index, slot, p.true_scatterer,
-                                          p.wall_index))
-                slot += 1
-            else:
-                out.append(p)
-        return PathSet(tuple(out))
+        """Sub-path-set keeping relative order; each kept NLOS path takes
+        the slot of its new position."""
+        return PathSet(tuple(self.paths[i] for i in sorted(set(indices))))
 
 
 def image_reflect(p: Point2, wall: Wall) -> Point2:
@@ -237,7 +220,7 @@ def enumerate_paths(scenario: Scenario, ue: Point2) -> PathSet:
         if fe == ue:
             raise DegenerateGeometry(f"UE coincides with FE {i}")
         los.append(PathDescriptor(PathKind.LOS, fe_index=i))
-    nlos, slot = [], 0
+    nlos = []
     for i, fe in enumerate(scenario.fes):
         for j, wall in enumerate(scenario.walls):
             sp = specular_point(fe, ue, wall)
@@ -245,7 +228,6 @@ def enumerate_paths(scenario: Scenario, ue: Point2) -> PathSet:
                 continue
             if sp == ue or sp == fe:
                 raise DegenerateGeometry("specular point coincides with an endpoint")
-            nlos.append(PathDescriptor(PathKind.NLOS, fe_index=i, scatterer_index=slot,
+            nlos.append(PathDescriptor(PathKind.NLOS, fe_index=i,
                                        true_scatterer=sp, wall_index=j))
-            slot += 1
     return PathSet(tuple(los + nlos))

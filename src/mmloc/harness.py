@@ -212,9 +212,9 @@ def _ue_estimate(obs, rep) -> tuple[float, float]:
 
 def _map_entries(obs, rep) -> list:
     """(bounce point, path index, measured (alpha, beta, d)) per NLOS path."""
-    return [(rep.theta_hat.scatterers[p.scatterer_index], j,
-             (float(obs.alpha[j]), float(obs.beta[j]), float(obs.dist[j])))
-            for j, p in enumerate(obs.paths) if p.kind is PathKind.NLOS]
+    return [(s, j, (float(obs.alpha[j]), float(obs.beta[j]),
+                    float(obs.dist[j])))
+            for j, s in enumerate(rep.theta_hat.scatterers, obs.paths.n_los)]
 
 
 def _run_range(scenario, ues, mode, cfg, seed, keep, subset, noiseless,

@@ -157,11 +157,6 @@ class ParamVector:
             return cls(ue, (), mode)
         return cls(ue, paths.true_scatterers(), mode)
 
-    def consistent_with(self, paths: PathSet) -> bool:
-        if self.mode is Mode.REM:
-            return True
-        return len(self.scatterers) == paths.n_nlos
-
 
 @dataclass(frozen=True, eq=False)
 class Observation:
@@ -297,15 +292,16 @@ class PathGeometry:
         my = [[0.0] * (2 * n) for _ in range(self.dim)]
         cx, cy = [0.0] * (2 * n), [0.0] * (2 * n)
         ue = (0, 1)  # theta columns of a point, or a fixed Point2
+        n_los = paths.n_los
         for j, p in enumerate(paths):
             fe = scenario.fes[p.fe_index]
+            k = j - n_los  # an NLOS path's bounce-point slot
             if p.kind is PathKind.LOS:
                 aim, dep = fe, ue
             elif mode is Mode.NOREM:
-                k = p.scatterer_index
                 aim = dep = (2 + k, 2 + n_scat + k)
             else:
-                aim = dep = known[p.scatterer_index]
+                aim = dep = known[k]
             # leg column col = head - tail
             for col, head, tail in ((j, aim, ue), (n + j, dep, fe)):
                 for point, sign in ((head, 1.0), (tail, -1.0)):

@@ -8,6 +8,7 @@ the model only through PathGeometry; the tests compare it against this.
 from __future__ import annotations
 
 import math
+from typing import Optional
 
 import numpy as np
 
@@ -38,9 +39,10 @@ def atan2q(y: float, x: float) -> float:
     return a
 
 
-def path_params(theta: ParamVector, path: PathDescriptor,
-                scenario: Scenario) -> tuple[float, float, float]:
-    """Noise-free (alpha, beta, d) of one path at parameters theta."""
+def path_params(theta: ParamVector, path: PathDescriptor, scenario: Scenario,
+                slot: Optional[int] = None) -> tuple[float, float, float]:
+    """Noise-free (alpha, beta, d) of one path at parameters theta; in
+    NoREM an NLOS path's bounce point is theta.scatterers[slot]."""
     p = theta.ue
     q = scenario.fes[path.fe_index]
     if path.kind is PathKind.LOS:
@@ -51,7 +53,7 @@ def path_params(theta: ParamVector, path: PathDescriptor,
         dep = p
     else:
         if theta.mode is Mode.NOREM:
-            s = theta.scatterers[path.scatterer_index]
+            s = theta.scatterers[slot]
         else:
             s = path.true_scatterer
             if s is None:
@@ -71,9 +73,10 @@ def path_params(theta: ParamVector, path: PathDescriptor,
 def forward(theta: ParamVector, paths: PathSet,
             scenario: Scenario) -> np.ndarray:
     """Noise-free stacked measurement vector h(theta)."""
-    if not theta.consistent_with(paths):
+    if theta.mode is Mode.NOREM and len(theta.scatterers) != paths.n_nlos:
         raise ValueError("parameter vector does not match the path set")
-    vals = [path_params(theta, path, scenario) for path in paths]
+    vals = [path_params(theta, path, scenario, j - paths.n_los)
+            for j, path in enumerate(paths)]
     alpha, beta, dist = zip(*vals)
     return np.concatenate([alpha, beta, dist]).astype(float)
 

@@ -9,7 +9,8 @@ import yaml
 
 import mmloc.estimator
 import mmloc.harness
-from mmloc import AllTrialsFailed, DegenerateGeometry, GapfConfig, GridSpec
+from mmloc import (AllTrialsFailed, ConfigError, DegenerateGeometry,
+                   GapfConfig, GridSpec)
 from mmloc.cli import main, validate_config
 from mmloc.harness import grid_preset
 
@@ -98,6 +99,11 @@ def test_a_key_the_command_does_not_take_is_reported_once():
     key: it is reported as unknown and its value is not checked."""
     assert validate_config({"experiment": {"n_points": 1}}, "mc") == [
         "experiment: unknown keys ['n_points'] for command mc"]
+
+
+def test_validate_config_rejects_an_unknown_command():
+    with pytest.raises(ConfigError, match="'bogus'.*'remmap'"):
+        validate_config({}, "bogus")
 
 
 def test_missing_config_file_is_a_config_error(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Scene primitives: walls, mirror images, specular bounce points, and
 path enumeration."""
+import itertools
 import math
 
 import numpy as np
@@ -7,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mmloc import (DegenerateGeometry, PathKind, Point2, ReflectiveSide,
-                   Scenario, Wall, WallAxis, enumerate_paths, image_reflect,
-                   noise_profile_preset, specular_point)
+from mmloc import (DegenerateGeometry, Mode, ParamVector, PathKind, Point2,
+                   ReflectiveSide, Scenario, Wall, WallAxis, enumerate_paths,
+                   forward, image_reflect, noise_profile_preset,
+                   scenario_preset, specular_point, trajectory_preset)
 
 PROF = noise_profile_preset("73GHz")
 
@@ -150,8 +152,8 @@ def test_corner_two_fe_paths_and_ordering():
     # NLOS ordered by (fe, wall)
     assert [(p.fe_index, p.wall_index) for p in ps][2:] == \
         [(0, 0), (0, 1), (1, 0), (1, 1)]
-    # scatterer slots contiguous from zero
-    assert [p.scatterer_index for p in ps][2:] == [0, 1, 2, 3]
+    # bounce point k is that of the k-th NLOS path
+    assert ps.true_scatterers() == tuple(p.true_scatterer for p in ps[2:])
 
 
 def test_true_scatterers_match_specular_points():
@@ -164,11 +166,23 @@ def test_true_scatterers_match_specular_points():
     assert scats[0].y == pytest.approx(s.y, abs=1e-12)
 
 
-def test_subset_renumbers_scatterer_slots():
-    ps = enumerate_paths(CORNER, Point2(8.0, 35.0))  # LOS + 2 NLOS
-    sub = ps.subset([0, 2])
-    assert (sub.n_los, sub.n_nlos) == (1, 1)
-    assert sub[1].scatterer_index == 0
+@pytest.mark.parametrize("mode", [Mode.NOREM, Mode.REM])
+def test_subset_paths_keep_their_own_bounce_points(mode):
+    """Every non-empty subset of the six corner-2fe paths: the forward
+    model at the subset's truth equals the full set's entries for those
+    paths, bit for bit, so each NLOS path meets its own bounce point."""
+    sc = scenario_preset("corner-2fe")
+    ue = trajectory_preset("corner-2fe")[0]
+    ps = enumerate_paths(sc, ue)
+    n = ps.n_paths
+    assert n == 6
+    full = forward(ParamVector.truth_from_paths(ue, ps, mode), ps, sc)
+    for size in range(1, n + 1):
+        for idx in itertools.combinations(range(n), size):
+            sub = ps.subset(idx)
+            h = forward(ParamVector.truth_from_paths(ue, sub, mode), sub, sc)
+            keep = [i + b for b in (0, n, 2 * n) for i in idx]
+            assert h.tobytes() == full[keep].tobytes()
 
 
 def test_subset_is_order_insensitive():

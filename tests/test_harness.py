@@ -318,7 +318,7 @@ def test_build_rem_map_drops_a_behind_wall_point_alone():
         rep = E.estimate(z, sc, Mode.NOREM, LIGHT, [est_seed])
         for j, path in enumerate(paths):
             if path.kind is PathKind.NLOS:
-                want.append((rep.theta_hat.scatterers[path.scatterer_index],
+                want.append((rep.theta_hat.scatterers[j - paths.n_los],
                              (traj[i], j), (float(z.alpha[j]),
                                             float(z.beta[j]),
                                             float(z.dist[j]))))

@@ -143,7 +143,7 @@ def test_forward_stacks_los_first_blocks():
     h = forward(theta, ps, CORNER)
     assert h.shape == (9,)
     a0, b0, d0 = ref.path_params(theta, ps[0], CORNER)
-    a2, b2, d2 = ref.path_params(theta, ps[2], CORNER)
+    a2, b2, d2 = ref.path_params(theta, ps[2], CORNER, slot=1)
     np.testing.assert_allclose([h[0], h[3], h[6]], [a0, b0, d0], atol=1e-12)
     np.testing.assert_allclose([h[2], h[5], h[8]], [a2, b2, d2], atol=1e-12)
 
@@ -200,11 +200,11 @@ def test_forward_matches_scalar_reference(walls):
             bad = [theta for fe in sc.fes
                    for theta in (ParamVector(fe, scat, Mode.NOREM),
                                  ParamVector(fe, (), Mode.REM))]
-            for p in ps:
+            for j, p in enumerate(ps):
                 if p.kind is PathKind.NLOS:
                     for end in (near, sc.fes[p.fe_index]):
                         moved = list(scat)
-                        moved[p.scatterer_index] = end
+                        moved[j - ps.n_los] = end
                         bad.append(ParamVector(near, tuple(moved), Mode.NOREM))
             for theta in bad:
                 with pytest.raises(DegenerateGeometry):

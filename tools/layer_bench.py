@@ -1,7 +1,7 @@
 """Per-layer timings of the forward model, the LM refinement, the grid
 init and the bound layer.
 
-    python3 tools/layer_bench.py --out BENCH_10.json
+    python3 tools/layer_bench.py --out BENCH_13.json
 
 Times `PathGeometry.h_jacobian_valid` and `estimator._lm_refine_batch` in
 microseconds per parameter row, at 16 and 4096 rows, in NoREM and REM, on
@@ -27,7 +27,9 @@ benchmark scenes, `corner-1fe` with the UE at (8, 35), in NoREM:
 
 The bound layer is timed on `corner-2fe` in NoREM and REM: `rmse_crb` in
 microseconds per call at the track point above, and `crb_grid` in
-microseconds per node over the scene's preset grid (1000 nodes).
+microseconds per node over the scene's preset grid (1000 nodes).  Path
+enumeration (`geometry.enumerate_paths`), which `crb_grid` runs at each
+node, is timed in microseconds per node over the same grid.
 
 Times are CPU seconds of this process with one BLAS thread, so time the
 host holds the process off the CPU is left out.  Each figure is the median
@@ -166,12 +168,18 @@ def _grid_init_layers() -> list:
 
 
 def _bound_layers(scenario, ue, paths) -> list:
-    """rmse_crb per call at ue and crb_grid per node over SCENE's preset
-    grid, in each mode."""
+    """enumerate_paths per node over SCENE's preset grid, then rmse_crb
+    per call at ue and crb_grid per node over that grid, in each mode."""
     grid = grid_preset(SCENE)
     xs, ys = grid.axes()
     nodes = xs.size * ys.size
-    out = []
+    ues = [Point2(float(x), float(y)) for x in xs for y in ys]
+    fig = _time(lambda: [enumerate_paths(scenario, u) for u in ues], nodes,
+                "node")
+    out = [{"layer": "geometry.enumerate_paths", "scene": SCENE,
+            "units_per_call": nodes, **fig}]
+    print(f"{'geometry.enumerate_paths':45s} {'':5s} "
+          f"{fig['us_per_node']:10.1f} us/node", file=sys.stderr)
     for mode in (Mode.NOREM, Mode.REM):
         layers = (
             ("bounds.rmse_crb", lambda: rmse_crb(ue, paths, scenario, mode),
